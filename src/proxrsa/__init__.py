@@ -23,6 +23,7 @@ from .entropy import (
 from .errors import (
     InfeasibleError,
     NotInvertibleError,
+    NumericalError,
     ParameterError,
     ProxRsaError,
     RangeTooLargeError,
@@ -49,6 +50,7 @@ __all__ = [
     "KeyGenParams",
     "KeyPair",
     "NotInvertibleError",
+    "NumericalError",
     "ParameterError",
     "ProxRsaError",
     "RangeTooLargeError",

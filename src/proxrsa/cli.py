@@ -2,8 +2,8 @@
 
 Subcommands: keygen, keygen-multi, keygen-compat, verify, analyze,
 shor-sim, shor-compare, census.  Exit codes: 0 success, 1 I/O or file
-parse failure, 2 search exhausted, 3 invalid parameters, 4 verification
-failure.
+parse failure, or a failed numerical self-check (NumericalError), 2 search
+exhausted, 3 invalid parameters, 4 verification failure.
 
 Keys and reports are JSON with sorted keys and hex-encoded integers;
 gamma travels as an exact "num/den" string.  Every stochastic choice is
@@ -262,23 +262,16 @@ def _cmd_shor_sim(args) -> int:
         }
     else:
         stream = SeedStream(_parse_seed(args.seed))
+        q_size = shor_sim.default_q(n) if args.q_size is None else args.q_size
         bases = shor_sim.draw_bases(stream, n, args.sweep)
-        per_base = []
-        for a in bases:
-            per_base.append(
-                {
-                    "a": a,
-                    "r": shor_sim.multiplicative_order(a, n),
-                    "success_prob": shor_sim.shor_success_probability(n, a, args.q_size, False),
-                    "success_prob_refined": shor_sim.shor_success_probability(
-                        n, a, args.q_size, True
-                    ),
-                }
-            )
+        per_base = [
+            {"a": a, "r": r, "success_prob": plain, "success_prob_refined": refined}
+            for a, (r, plain, refined) in zip(bases, shor_sim.base_probabilities(n, bases, q_size))
+        ]
         key = "success_prob_refined" if refine else "success_prob"
         doc = {
             "N": n,
-            "Q": args.q_size or shor_sim.default_q(n),
+            "Q": q_size,
             "bases": per_base,
             "mean_success_prob": sum(b["success_prob"] for b in per_base) / len(per_base),
             "mean_success_prob_refined": sum(b["success_prob_refined"] for b in per_base)

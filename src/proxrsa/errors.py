@@ -29,5 +29,9 @@ class StreamExhaustedError(SearchExhaustedError):
     """A seed stream's 64-bit counter overflowed."""
 
 
+class NumericalError(ProxRsaError):
+    """A floating-point self-check failed, e.g. a drifted normalization (exit 1)."""
+
+
 class RangeTooLargeError(ParameterError):
     """Sieve or census range exceeds the supported budget."""

@@ -75,12 +75,18 @@ def prf_block(stream: SeedStream) -> bytes:
 
 
 def stream_uint(stream: SeedStream, bound: int) -> int:
-    """Uniform integer in [0, bound) by rejection sampling on 256-bit blocks."""
+    """Uniform integer in [0, bound) by rejection sampling on 256-bit blocks.
+
+    One block per draw up to bound = 2^256; above that, ceil((bits+64)/256)
+    blocks, so each draw is rejected with probability below 2^-64.
+    """
     if bound <= 0:
         raise ParameterError("bound must be positive")
-    limit = (1 << 256) - ((1 << 256) % bound)
+    nblocks = 1 if bound <= 1 << 256 else -(-(bound.bit_length() + 64) // 256)
+    span = 1 << (256 * nblocks)
+    limit = span - span % bound
     while True:
-        value = int.from_bytes(prf_block(stream), "big")
+        value = int.from_bytes(b"".join(prf_block(stream) for _ in range(nblocks)), "big")
         if value < limit:
             return value % bound
 

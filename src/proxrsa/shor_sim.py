@@ -10,12 +10,23 @@ geometric sum closes (Q | m*t), and to a sin-ratio elsewhere.  The exact
 sum over all y is 1, so renormalization is a no-op up to float error; the
 factor is still computed and checked against 1e-9.
 
-Success accounting never needs the full Q-vector: a measurement y can only
-recover the period when y lies within 1/2 of c*Q/rhat for some divisor
-rhat of r (convergent denominators below N), so every contributing y sits
-within 1 of a multiple of Q/r.  Enumerating those ~2r candidates and
-scoring each with the closed form reproduces the full sum exactly, which
-keeps Q = N^2 tractable at any toy size.
+A measurement y is post-processed by continued fractions (Shor, SIAM J.
+Comput. 26(5), 1997): recover_period returns the convergent h/rhat of y/Q
+with |y/Q - h/rhat| <= 1/(2Q), rhat < N.  The plain count succeeds when
+rhat = r.  The refinement tries rhat*f for f = 1 .. floor(log2 N) and keeps
+the first multiple with a^(rhat*f) == 1 (mod N); since a^x == 1 exactly
+when r | x, that multiple, if any, is lcm(rhat, r), so it equals r exactly
+when rhat | r and r/rhat <= floor(log2 N).  So for fixed N and Q both
+probabilities depend on the base a only through its order r, and bases of
+equal order share one computation.
+
+Success accounting never needs the full Q-vector.  In both counts rhat
+divides r, so h/rhat = c/r with c = h*r/rhat, and |y/Q - c/r| <= 1/(2Q),
+that is 2*|y*r - c*Q| <= r: only a y within 1/2 of some c*Q/r (0 <= c < r)
+can succeed.  Each c has one such y, or two at an exact tie, so about r
+candidates are scored with the closed form, in increasing y.  That sum
+equals the full sum over all Q outcomes, which keeps Q = N^2 tractable at
+any toy size.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .entropy import proximity_delta, proximity_holds_exact
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .numerics import SeedStream, gcd, sieve_range, stream_uint
 
 MAX_TOY_MODULUS = 1 << 20
@@ -179,7 +190,7 @@ def measurement_distribution(r: int, q_size: int) -> np.ndarray:
 
     total = float(probs.sum())
     if abs(total - 1.0) >= 1e-9:
-        raise ArithmeticError(f"distribution normalization drifted: sum = {total!r}")
+        raise NumericalError(f"distribution normalization drifted: sum = {total!r}")
     return probs / total
 
 
@@ -210,24 +221,48 @@ def recover_period(y: int, q_size: int, n: int) -> Optional[int]:
     return None
 
 
-def _refined_period(r_hat: int, a: int, n: int) -> Optional[int]:
-    """First multiple r_hat*f (f <= log2 n) annihilated by a, if any."""
-    limit = max(1, int(math.log2(n)))
-    for f in range(1, limit + 1):
-        if pow(a, r_hat * f, n) == 1:
-            return r_hat * f
-    return None
-
-
 def _success_candidates(r: int, q_size: int):
-    """Every y that could recover r sits within 1 of some c*Q/r; enumerate those."""
-    seen = set()
+    """Every y with 2*|y*r - c*Q| <= r for some c in [0, r), in increasing order."""
     for c in range(r):
-        center = c * q_size // r
-        for y in (center - 1, center, center + 1, center + 2):
-            if 0 <= y < q_size and y not in seen:
-                seen.add(y)
-                yield y
+        y, rem = divmod(c * q_size, r)
+        if 2 * rem <= r:
+            yield y
+        if 2 * rem >= r:
+            yield y + 1
+
+
+def _lifts_to(r_hat: int, r: int, n: int) -> bool:
+    """Whether the small-factor refinement turns r_hat into the order r.
+
+    The refinement returns the first r_hat*f, f <= floor(log2 n), with
+    a^(r_hat*f) == 1 (mod n).  As a^x == 1 exactly when r | x, that is
+    lcm(r_hat, r) if r/gcd(r_hat, r) <= floor(log2 n), and none otherwise;
+    it equals r exactly when r_hat | r and r/r_hat <= floor(log2 n).
+    """
+    return r % r_hat == 0 and r // r_hat < n.bit_length()
+
+
+def success_probabilities(n: int, r: int, q_size: int) -> tuple[float, float]:
+    """Plain and refined probability that one measurement recovers period r.
+
+    Plain counts y whose recovered denominator rhat equals r; refined also
+    counts rhat | r with r/rhat <= floor(log2 n), the multiples the
+    small-factor refinement lifts to r (module docstring).  Both sums add
+    their terms in increasing y.
+    """
+    _check_q(q_size)
+    if not 1 <= r <= q_size:
+        raise ParameterError(f"Q = {q_size} cannot resolve period {r}")
+    plain = refined = 0.0
+    for y in _success_candidates(r, q_size):
+        r_hat = recover_period(y, q_size, n)
+        if r_hat is None or not _lifts_to(r_hat, r, n):
+            continue
+        prob = _prob_at(y, r, q_size)
+        refined += prob
+        if r_hat == r:
+            plain += prob
+    return plain, refined
 
 
 def shor_success_probability(
@@ -240,34 +275,30 @@ def shor_success_probability(
     sum over all Q outcomes; see module docstring for why the sparse
     enumeration is lossless.
     """
-    if a < 2:
-        raise ParameterError(f"base must be >= 2: {a}")
-    if q_size is None:
-        q_size = default_q(n)
-    _check_q(q_size)
-    r = multiplicative_order(a, n)
-    if r > q_size:
-        raise ParameterError(f"Q = {q_size} cannot resolve period {r}")
+    q_size = default_q(n) if q_size is None else q_size
+    ((_, plain, refined),) = base_probabilities(n, [a], q_size)
+    return refined if refine else plain
 
-    total = 0.0
-    for y in _success_candidates(r, q_size):
-        r_hat = recover_period(y, q_size, n)
-        if r_hat is None:
-            continue
-        if refine:
-            candidate = _refined_period(r_hat, a, n)
-        else:
-            candidate = r_hat
-        if candidate == r:
-            total += _prob_at(y, r, q_size)
-    return total
+
+def base_probabilities(n: int, bases: list[int], q_size: int) -> list[tuple[int, float, float]]:
+    """(r, plain, refined) for each base; bases of equal order share one pass."""
+    by_order: dict[int, tuple[float, float]] = {}
+    out = []
+    for a in bases:
+        if a < 2:
+            raise ParameterError(f"base must be >= 2: {a}")
+        r = multiplicative_order(a, n)
+        if r not in by_order:
+            by_order[r] = success_probabilities(n, r, q_size)
+        out.append((r, *by_order[r]))
+    return out
 
 
 def shor_distribution(n: int, a: int, q_size: Optional[int] = None) -> ShorDistribution:
     """Distribution summary for one (n, a); dense vector included when Q permits."""
     if q_size is None:
         q_size = default_q(n)
-    r = multiplicative_order(a, n)
+    ((r, plain, refined),) = base_probabilities(n, [a], q_size)
     probs = measurement_distribution(r, q_size) if q_size <= MAX_DENSE_Q else None
     return ShorDistribution(
         n=n,
@@ -275,12 +306,37 @@ def shor_distribution(n: int, a: int, q_size: Optional[int] = None) -> ShorDistr
         r=r,
         q_size=q_size,
         probs=probs,
-        success_prob=shor_success_probability(n, a, q_size, refine=False),
-        success_prob_refined=shor_success_probability(n, a, q_size, refine=True),
+        success_prob=plain,
+        success_prob_refined=refined,
     )
 
 
+def _euler_phi(n: int) -> int:
+    phi, m, d = n, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            phi -= phi // d
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        phi -= phi // m
+    return phi
+
+
 def draw_bases(stream: SeedStream, n: int, count: int) -> list[int]:
+    """`count` distinct bases in [2, n-2] coprime to n, in stream order.
+
+    Refuses a count above the phi(n) - 2 bases that exist instead of
+    searching for them forever.
+    """
+    if not 3 <= n <= MAX_TOY_MODULUS:
+        raise ParameterError(f"modulus must lie in [3, 2^20]: {n}")
+    usable = _euler_phi(n) - 2  # 1 and n-1 are units outside [2, n-2]
+    if not 1 <= count <= usable:
+        raise ParameterError(
+            f"cannot draw {count} bases: N = {n} has {usable} bases in [2, N-2] coprime to N"
+        )
     bases: list[int] = []
     seen = set()
     while len(bases) < count:
@@ -359,9 +415,9 @@ def compare_moduli(
             p, q, delta = pool[idx]
             n = p * q
             q_here = q_size if q_size is not None else default_q(n)
-            bases = draw_bases(stream, n, bases_per_modulus)
-            plain = [shor_success_probability(n, a, q_here, refine=False) for a in bases]
-            refined = [shor_success_probability(n, a, q_here, refine=True) for a in bases]
+            stats = base_probabilities(n, draw_bases(stream, n, bases_per_modulus), q_here)
+            plain = [s[1] for s in stats]
+            refined = [s[2] for s in stats]
             g = math.gcd(p - 1, q - 1)
             report.rows.append(
                 ComparisonRow(

@@ -368,3 +368,22 @@ def test_console_entry_point_matches_in_process(tmp_path, capsys):
     )
     assert result.returncode == 0, result.stderr
     assert sub.read_bytes() == in_proc.read_bytes()
+
+
+@pytest.mark.parametrize("k", [1024, 2048])
+def test_key_lifecycle_at_real_sizes(k, tmp_path, cli_process):
+    """keygen -> verify -> analyze through the console entry point, each
+    call under a wall-clock bound; 2048 bits needs no --insecure-small."""
+    key = tmp_path / "key.json"
+    small = ["--insecure-small"] if k < cli.INSECURE_SMALL_THRESHOLD else []
+    steps = [
+        ["keygen", "--k", str(k), "--seed", ZEROS, *small, "-o", str(key)],
+        ["verify", str(key)],
+        ["analyze", str(key), "-o", str(tmp_path / "report.json")],
+    ]
+    for argv in steps:
+        result = cli_process(argv, timeout=120)
+        assert result.returncode == cli.EXIT_OK, (argv, result.stderr)
+    doc = json.loads(key.read_text())
+    assert int(doc["N"], 16).bit_length() == k
+    assert json.loads((tmp_path / "report.json").read_text())["variant"] == "standard"

@@ -77,6 +77,40 @@ def test_stream_uint_is_in_range_and_deterministic():
     assert values == [numerics.stream_uint(s2, 97) for _ in range(50)]
 
 
+def _one_block_uint(stream, bound):
+    """The single-block draw every bound up to 2^256 has always used."""
+    limit = (1 << 256) - ((1 << 256) % bound)
+    while True:
+        value = int.from_bytes(stream.block(), "big")
+        if value < limit:
+            return value % bound
+
+
+@given(st.integers(1, 1 << 256), st.integers(0, 1000))
+@settings(max_examples=100)
+def test_stream_uint_replays_single_block_draws(bound, counter):
+    s1, s2 = SeedStream(bytes(32), counter), SeedStream(bytes(32), counter)
+    assert numerics.stream_uint(s1, bound) == _one_block_uint(s2, bound)
+    assert s1.counter == s2.counter
+
+
+@pytest.mark.parametrize("bound", [(1 << 256) - 1, 1 << 256, (1 << 256) + 1, (1 << 607) - 1])
+def test_stream_uint_ends_and_stays_in_range_around_two_to_256(bound, wall_clock):
+    s = SeedStream(bytes(32))
+    with wall_clock(10):
+        values = [numerics.stream_uint(s, bound) for _ in range(200)]
+    assert all(0 <= v < bound for v in values)
+    assert len(set(values)) == len(values)
+
+
+def test_stream_uint_above_two_to_256_draws_extra_blocks():
+    # bits + 64 bits of headroom, rounded up to whole blocks
+    for bound, blocks in (((1 << 256) + 1, 2), ((1 << 448) - 1, 2), (1 << 448, 3), ((1 << 607) - 1, 3)):
+        s = SeedStream(bytes(32))
+        value = numerics.stream_uint(s, bound)
+        assert s.counter == blocks and 0 <= value < bound, (bound, blocks)
+
+
 # --- primality testing ----------------------------------------------------
 
 
@@ -104,6 +138,15 @@ def test_probable_prime_on_large_known_values():
     # 2^89 - 1 is a Mersenne prime; 2^67 - 1 famously is not.
     assert numerics.is_probable_prime((1 << 89) - 1, 32)
     assert not numerics.is_probable_prime((1 << 67) - 1, 32)
+
+
+def test_probable_prime_above_two_to_256(wall_clock):
+    # Miller-Rabin bases for these are drawn with bounds above 2^256.
+    with wall_clock(30):
+        assert numerics.is_probable_prime((1 << 521) - 1)
+        assert numerics.is_probable_prime((1 << 607) - 1)
+        assert not numerics.is_probable_prime((1 << 523) - 1)  # 2^523 - 1 is composite
+        assert not numerics.is_probable_prime(((1 << 521) - 1) * ((1 << 127) - 1))
 
 
 # --- isqrt ----------------------------------------------------------------

@@ -1,14 +1,17 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from proxrsa import shor_sim
-from proxrsa.errors import ParameterError
+from proxrsa import cli, shor_sim
+from proxrsa.errors import NumericalError, ParameterError, ProxRsaError
 from proxrsa.numerics import SeedStream
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def oracle_distribution(r, q_size, prec=120):
@@ -24,8 +27,21 @@ def oracle_distribution(r, q_size, prec=120):
     return probs
 
 
+def pow_refined_period(r_hat, a, n):
+    """First multiple r_hat*f (f <= log2 n) annihilated by a, if any, found with pow."""
+    limit = max(1, int(math.log2(n)))
+    for f in range(1, limit + 1):
+        if pow(a, r_hat * f, n) == 1:
+            return r_hat * f
+    return None
+
+
 def dense_success(n, a, q_size, refine):
-    """Full-vector success accounting; the independent oracle for the sparse path."""
+    """Full-vector success accounting; the independent oracle for the sparse path.
+
+    It scans every y and refines with pow, so it relies on neither the
+    candidate windows nor the divisibility rule of the library.
+    """
     r = shor_sim.multiplicative_order(a, n)
     probs = shor_sim.measurement_distribution(r, q_size)
     total = 0.0
@@ -33,7 +49,7 @@ def dense_success(n, a, q_size, refine):
         r_hat = shor_sim.recover_period(y, q_size, n)
         if r_hat is None:
             continue
-        candidate = shor_sim._refined_period(r_hat, a, n) if refine else r_hat
+        candidate = pow_refined_period(r_hat, a, n) if refine else r_hat
         if candidate == r:
             total += probs[y]
     return total
@@ -216,6 +232,81 @@ def test_sparse_success_equals_dense_oracle_random(seed_int):
         assert abs(want - got) < 1e-12
 
 
+def _bases_by_order(n):
+    """One base per distinct order of the units in [2, n-2]."""
+    out = {}
+    for a in range(2, n - 1):
+        if math.gcd(a, n) == 1:
+            out.setdefault(shor_sim.multiplicative_order(a, n), a)
+    return out
+
+
+def test_sparse_success_equals_dense_oracle_tight_q():
+    """Q only a little above r (Q/r < 2, Q = r for powers of two), where
+    neighbouring c*Q/r windows come close or touch."""
+    for n in (21, 33, 35, 39, 51, 55, 85, 93, 119):
+        for r, a in _bases_by_order(n).items():
+            q_size = 1 << (r - 1).bit_length()
+            for refine in (False, True):
+                want = dense_success(n, a, q_size, refine)
+                got = shor_sim.shor_success_probability(n, a, q_size, refine)
+                assert abs(want - got) < 1e-12, (n, a, r, q_size, refine)
+
+
+def test_success_candidates_are_the_half_windows():
+    for q_size in (1, 2, 8, 16, 64):
+        for r in range(1, q_size + 1):
+            want = [
+                y
+                for y in range(q_size)
+                if any(2 * abs(y * r - c * q_size) <= r for c in range(r + 1))
+            ]
+            assert list(shor_sim._success_candidates(r, q_size)) == want, (r, q_size)
+
+
+@given(st.integers(5, 5000), st.data())
+@settings(max_examples=300, deadline=None)
+def test_refinement_divisibility_rule_matches_pow_loop(n, data):
+    a = data.draw(st.integers(2, n - 2))
+    assume(math.gcd(a, n) == 1)
+    r = shor_sim.multiplicative_order(a, n)
+    divisors = [d for d in range(1, r + 1) if r % d == 0]
+    r_hat = data.draw(st.sampled_from(divisors) | st.integers(1, n))
+    assert shor_sim._lifts_to(r_hat, r, n) == (pow_refined_period(r_hat, a, n) == r)
+
+
+def test_base_probabilities_share_one_pass_per_order(monkeypatch):
+    n, q_size = 91, 8192
+    bases = [a for a in range(2, 40) if math.gcd(a, n) == 1]
+    want = [
+        (
+            shor_sim.multiplicative_order(a, n),
+            shor_sim.shor_success_probability(n, a, q_size, refine=False),
+            shor_sim.shor_success_probability(n, a, q_size, refine=True),
+        )
+        for a in bases
+    ]
+    calls = []
+    original = shor_sim.success_probabilities
+    monkeypatch.setattr(
+        shor_sim, "success_probabilities", lambda *args: calls.append(args) or original(*args)
+    )
+    assert shor_sim.base_probabilities(n, bases, q_size) == want
+    assert len(calls) == len({r for r, _, _ in want}) < len(bases)
+
+
+def test_distribution_drift_is_a_package_error(monkeypatch, capsys):
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda x: sin(x) + 1e-3)  # a sine that is off by 1e-3
+    with pytest.raises(NumericalError) as info:
+        shor_sim.measurement_distribution(3, 256)
+    assert isinstance(info.value, ProxRsaError)
+    assert not isinstance(info.value, ArithmeticError)
+    assert cli.main(["shor-sim", "--N", "21", "--a", "2"]) == cli.EXIT_IO  # r = 6, Q = 512
+    err = capsys.readouterr().err
+    assert err.startswith("error: distribution normalization drifted")
+
+
 def test_default_q_is_first_power_of_two_at_or_above_n_squared():
     assert shor_sim.default_q(15) == 256
     assert shor_sim.default_q(16) == 256
@@ -281,6 +372,66 @@ def test_compare_moduli_is_deterministic():
     r1 = shor_sim.compare_moduli(10, 2, 0.3, SeedStream(bytes(32)), bases_per_modulus=3)
     r2 = shor_sim.compare_moduli(10, 2, 0.3, SeedStream(bytes(32)), bases_per_modulus=3)
     assert r1.rows == r2.rows
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("shor_compare_10.csv", ["--bits", "10", "--pairs", "3", "--bases", "5"]),
+        ("shor_compare_10_q1024.csv", ["--bits", "10", "--pairs", "3", "--bases", "5", "--Q", "1024"]),
+        ("shor_compare_12.csv", ["--bits", "12", "--pairs", "8", "--bases", "4", "--seed", "11" * 32]),
+    ],
+)
+def test_shor_compare_csv_is_pinned(name, argv, capsys):
+    """CSV bytes recorded before the one-pass rework; every float must replay."""
+    assert cli.main(["shor-compare", "--gamma", "0.35", *argv]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+def test_draw_bases_replays_recorded_draws(wall_clock):
+    # count equal to the phi(n) - 2 usable bases: the rejection loop's edge
+    recorded = {
+        (15, 6): [13, 11, 7, 4, 8, 2],
+        (21, 10): [19, 16, 10, 5, 8, 13, 2, 4, 17, 11],
+        (35, 22): [13, 8, 26, 22, 23, 31, 3, 24, 16, 19, 17, 27, 18, 4, 9, 32, 11, 29, 33, 6, 2, 12],
+        (1003, 20): [421, 432, 258, 742, 991, 95, 965, 184, 147, 171,
+                     110, 232, 72, 805, 888, 388, 859, 253, 628, 685],
+    }
+    with wall_clock(10):
+        for (n, count), want in recorded.items():
+            assert shor_sim.draw_bases(SeedStream(bytes(32)), n, count) == want
+
+
+@pytest.mark.parametrize("n", [5, 8, 15, 21, 35, 97, 221])
+def test_draw_bases_feasibility_edge(n, wall_clock):
+    usable = sum(1 for a in range(2, n - 1) if math.gcd(a, n) == 1)
+    with wall_clock(10):
+        bases = shor_sim.draw_bases(SeedStream(bytes(32)), n, usable)
+        assert sorted(bases) == [a for a in range(2, n - 1) if math.gcd(a, n) == 1]
+        with pytest.raises(ParameterError):
+            shor_sim.draw_bases(SeedStream(bytes(32)), n, usable + 1)
+
+
+def test_draw_bases_rejects_degenerate_requests():
+    for n, count in ((4, 1), (3, 1), (15, 0), ((1 << 20) + 1, 1)):
+        with pytest.raises(ParameterError):
+            shor_sim.draw_bases(SeedStream(bytes(32)), n, count)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shor-sim", "--N", "15"],
+        ["shor-sim", "--N", "15", "--sweep", "0"],
+        ["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "1000"],
+        ["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "0"],
+    ],
+)
+def test_infeasible_base_counts_exit_3_without_traceback(argv, cli_process):
+    result = cli_process(argv, timeout=60)
+    assert result.returncode == cli.EXIT_BAD_PARAMS, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: cannot draw")
 
 
 def test_compare_moduli_rejects_tiny_sizes():
