@@ -22,7 +22,6 @@ from .entropy import (
 )
 from .errors import (
     InfeasibleError,
-    NotInvertibleError,
     NumericalError,
     ParameterError,
     ProxRsaError,
@@ -39,7 +38,7 @@ from .keygen import (
     generate_keypair,
     generate_multiprime,
 )
-from .numerics import SeedStream, is_probable_prime, isqrt, prf_block, sieve_range
+from .numerics import SeedStream, is_probable_prime, sieve_range
 from .validate import validate_key
 
 __version__ = "0.1.0"
@@ -49,7 +48,6 @@ __all__ = [
     "InfeasibleError",
     "KeyGenParams",
     "KeyPair",
-    "NotInvertibleError",
     "NumericalError",
     "ParameterError",
     "ProxRsaError",
@@ -67,10 +65,8 @@ __all__ = [
     "h2_from_delta",
     "h2_upper_bound",
     "is_probable_prime",
-    "isqrt",
     "model_eigenvalues",
     "multiprime_h2_bound",
-    "prf_block",
     "proximity_delta",
     "proximity_holds_exact",
     "purity_lower",

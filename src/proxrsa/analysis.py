@@ -32,7 +32,7 @@ from .entropy import h2_estimate
 from .errors import ParameterError
 from .keyfile import LoadedKey
 from .keygen import KeyPair
-from .numerics import is_probable_prime, isqrt
+from .numerics import is_probable_prime
 
 _RATIONAL_COS = {
     Fraction(0, 1): Fraction(1),
@@ -178,7 +178,7 @@ def complexity_report(
 
 
 def _ceil_sqrt(n: int) -> int:
-    r = isqrt(n)
+    r = math.isqrt(n)
     return r if r * r == n else r + 1
 
 
@@ -195,7 +195,7 @@ def fermat_attack(n: int, max_iters: int) -> FermatResult:
     x = _ceil_sqrt(n)
     for i in range(1, max_iters + 1):
         diff = x * x - n
-        y = isqrt(diff)
+        y = math.isqrt(diff)
         if y * y == diff:
             return FermatResult(found=True, iterations=i, factors=(x - y, x + y))
         x += 1
@@ -235,12 +235,12 @@ def classical_report(key: Union[KeyPair, LoadedKey], fermat_budget: int) -> Clas
 
 def _floor_scaled_inv_sqrt(a_num: int, b_den: int, n_value: int) -> int:
     """floor(a_num / (b_den * sqrt(n_value))) in exact integer arithmetic."""
-    root = isqrt(n_value)
+    root = math.isqrt(n_value)
     if root * root == n_value:
         return a_num // (b_den * root)
     if a_num == 0:
         return 0
-    mag = isqrt(a_num * a_num // (b_den * b_den * n_value))
+    mag = math.isqrt(a_num * a_num // (b_den * b_den * n_value))
     # a/(b*sqrt(n)) is irrational here, so there is no integer boundary case.
     return mag if a_num > 0 else -mag - 1
 

@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParameterError, RangeTooLargeError
-from .numerics import gcd, sieve_range
+from .keygen import default_gamma
+from .numerics import sieve_range
 
 _SEGMENT = 1 << 24
 _MAX_HI = 1 << 40
@@ -129,7 +130,7 @@ def census_progression(
     if modulus < 1:
         raise ParameterError("modulus must be >= 1")
     for r in (res_a, res_b):
-        if gcd(r, modulus) != 1:
+        if math.gcd(r, modulus) != 1:
             raise ParameterError(f"gcd({r}, {modulus}) != 1")
     if hi - lo > _SEGMENT * 4:
         raise RangeTooLargeError("progression census is all-pairs; range capped at 2^26")
@@ -177,7 +178,7 @@ def gamma_for_rule(rule: str, k: int, fixed: Optional[Fraction], epsilon: float)
             raise ParameterError("fixed gamma rule needs a gamma value")
         return fixed
     if rule == "sqrt_eps":
-        return Fraction(float(k) ** (-0.5 + epsilon)).limit_denominator(1 << 32)
+        return default_gamma(k, epsilon)
     if rule == "log_over_sqrt":
         return Fraction(math.log(k) / math.sqrt(k)).limit_denominator(1 << 32)
     raise ParameterError(f"unknown gamma rule {rule!r}; choose from {GAMMA_RULES}")

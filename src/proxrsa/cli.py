@@ -248,21 +248,21 @@ def _cmd_analyze(args) -> int:
 def _cmd_shor_sim(args) -> int:
     refine = not args.no_refine
     n = args.modulus
+    q_size = shor_sim.default_q(n) if args.q_size is None else args.q_size
     if args.a is not None:
-        dist = shor_sim.shor_distribution(n, args.a, args.q_size)
+        ((r, plain, refined),) = shor_sim.base_probabilities(n, [args.a], q_size)
         doc = {
             "N": n,
             "a": args.a,
-            "r": dist.r,
-            "Q": dist.q_size,
-            "success_prob": dist.success_prob,
-            "success_prob_refined": dist.success_prob_refined,
+            "r": r,
+            "Q": q_size,
+            "success_prob": plain,
+            "success_prob_refined": refined,
             "refinement_default": refine,
             "circuit_orders": shor_sim.circuit_order_estimates(n),
         }
     else:
         stream = SeedStream(_parse_seed(args.seed))
-        q_size = shor_sim.default_q(n) if args.q_size is None else args.q_size
         bases = shor_sim.draw_bases(stream, n, args.sweep)
         per_base = [
             {"a": a, "r": r, "success_prob": plain, "success_prob_refined": refined}

@@ -13,10 +13,6 @@ class ParameterError(ProxRsaError):
     """A precondition on user-supplied parameters was violated (exit 3)."""
 
 
-class NotInvertibleError(ParameterError):
-    """Modular inverse requested for a non-unit (gcd != 1)."""
-
-
 class InfeasibleError(ParameterError):
     """Requested residue count cannot exist for the given modulus."""
 

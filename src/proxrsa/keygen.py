@@ -20,6 +20,7 @@ qualifying value, so two runs can never diverge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -171,7 +172,7 @@ def derive_residues(m_modulus: int, stream: SeedStream, count: int) -> list[int]
     seen_values: set[int] = set()
     while len(chosen) < count:
         candidate = numerics.stream_uint(stream, m_modulus)
-        if candidate in seen_values or numerics.gcd(candidate, m_modulus) != 1:
+        if candidate in seen_values or math.gcd(candidate, m_modulus) != 1:
             continue
         classes = [candidate % p for p in separating]
         if any(c in s for c, s in zip(classes, seen_classes)):
@@ -256,9 +257,9 @@ def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int, i
     for p in primes:
         n *= p
         phi *= p - 1
-    if numerics.gcd(e, phi) != 1:
+    if math.gcd(e, phi) != 1:
         return None
-    d = numerics.mod_inverse(e, phi)
+    d = pow(e, -1, phi)
     if d**10 <= n**3:
         return None
     return n, phi, e, d

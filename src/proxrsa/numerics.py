@@ -1,21 +1,22 @@
 """Integer primitives: primality, prime search, sieving and seeded randomness.
 
 Python's built-in ``int`` is the arbitrary-precision integer type used
-throughout; every routine here accepts and returns plain ints.  All
-randomness flows through :class:`SeedStream` (SHA-256 in counter mode), so
-identical seeds reproduce identical results bit for bit.
+throughout; every routine here accepts and returns plain ints, and gcd,
+modular inverse and integer square root are the builtins (``math.gcd``,
+``pow(e, -1, m)``, ``math.isqrt``).  All randomness flows through
+:class:`SeedStream` (SHA-256 in counter mode), so identical seeds
+reproduce identical results bit for bit.  Only :func:`sieve_range` loads
+numpy, so the key path never imports it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
-    NotInvertibleError,
     ParameterError,
     RangeTooLargeError,
     SearchExhaustedError,
@@ -30,12 +31,12 @@ _MAX_SIEVE_SPAN = 1 << 28
 def _simple_sieve(limit: int) -> list[int]:
     if limit < 2:
         return []
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
+    mask = bytearray([1]) * (limit + 1)
+    mask[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).tolist()
+            mask[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(itertools.compress(range(limit + 1), mask))
 
 
 # Trial division by these fully decides primality below 2048**2.
@@ -69,11 +70,6 @@ class SeedStream:
         return digest
 
 
-def prf_block(stream: SeedStream) -> bytes:
-    """Next 256-bit block of the stream; advances the counter by one."""
-    return stream.block()
-
-
 def stream_uint(stream: SeedStream, bound: int) -> int:
     """Uniform integer in [0, bound) by rejection sampling on 256-bit blocks.
 
@@ -86,7 +82,7 @@ def stream_uint(stream: SeedStream, bound: int) -> int:
     span = 1 << (256 * nblocks)
     limit = span - span % bound
     while True:
-        value = int.from_bytes(b"".join(prf_block(stream) for _ in range(nblocks)), "big")
+        value = int.from_bytes(b"".join(stream.block() for _ in range(nblocks)), "big")
         if value < limit:
             return value % bound
 
@@ -96,52 +92,17 @@ def stream_bits(stream: SeedStream, nbits: int) -> int:
     if nbits <= 0:
         raise ParameterError("nbits must be positive")
     nblocks = -(-nbits // 256)
-    raw = b"".join(prf_block(stream) for _ in range(nblocks))
+    raw = b"".join(stream.block() for _ in range(nblocks))
     return int.from_bytes(raw, "big") >> (256 * nblocks - nbits)
 
 
-def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Square-and-multiply modular exponentiation."""
+    """base^exponent mod modulus by builtin pow; negative exponents are refused."""
     if modulus < 1:
         raise ParameterError("modulus must be >= 1")
     if exponent < 0:
         raise ParameterError("exponent must be non-negative")
-    result = 1 % modulus
-    base %= modulus
-    while exponent:
-        if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exponent >>= 1
-    return result
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m via extended Euclid; requires gcd(a, m) = 1."""
-    if m < 2:
-        raise ParameterError("modulus must be >= 2")
-    old_r, r = a % m, m
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise NotInvertibleError(f"gcd({a}, {m}) = {old_r} != 1")
-    return old_s % m
-
-
-def isqrt(n: int) -> int:
-    """Integer square root: largest r with r*r <= n."""
-    if n < 0:
-        raise ParameterError("isqrt of negative value")
-    return math.isqrt(n)
+    return pow(base, exponent, modulus)
 
 
 def _mr_base_stream(n: int) -> SeedStream:
@@ -204,7 +165,7 @@ def next_prime_in_progression(
         raise ParameterError("modulus must be >= 1")
     if not 0 <= residue < modulus:
         raise ParameterError("residue must satisfy 0 <= residue < modulus")
-    if gcd(residue, modulus) != 1:
+    if math.gcd(residue, modulus) != 1:
         raise ParameterError(f"gcd({residue}, {modulus}) != 1: class contains at most one prime")
     if max_steps < 1:
         raise ParameterError("max_steps must be >= 1")
@@ -231,6 +192,8 @@ def sieve_range(lo: int, hi: int) -> list[int]:
         raise RangeTooLargeError(f"segment span exceeds 2^28: {hi - lo}")
     if hi < 2:
         return []
+
+    import numpy as np
 
     mask = np.ones(hi - lo + 1, dtype=bool)
     for v in range(lo, min(hi, 1) + 1):

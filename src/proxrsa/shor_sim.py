@@ -26,7 +26,8 @@ that is 2*|y*r - c*Q| <= r: only a y within 1/2 of some c*Q/r (0 <= c < r)
 can succeed.  Each c has one such y, or two at an exact tie, so about r
 candidates are scored with the closed form, in increasing y.  That sum
 equals the full sum over all Q outcomes, which keeps Q = N^2 tractable at
-any toy size.
+any toy size.  numpy is loaded only by measurement_distribution (the
+full vector) and by the prime sieve behind compare_moduli.
 """
 
 from __future__ import annotations
@@ -34,27 +35,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .entropy import proximity_delta, proximity_holds_exact
 from .errors import NumericalError, ParameterError
-from .numerics import SeedStream, gcd, sieve_range, stream_uint
+from .numerics import SeedStream, sieve_range, stream_uint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_TOY_MODULUS = 1 << 20
 MAX_DENSE_Q = 1 << 22
-
-
-@dataclass
-class ShorDistribution:
-    n: int
-    a: int
-    r: int
-    q_size: int
-    probs: Optional[np.ndarray]
-    success_prob: float
-    success_prob_refined: float
 
 
 @dataclass
@@ -100,7 +91,7 @@ def multiplicative_order(a: int, n: int) -> int:
         raise ParameterError(f"modulus must lie in [2, 2^20]: {n}")
     if not 1 <= a < n:
         raise ParameterError(f"base must satisfy 1 <= a < n: {a}")
-    if gcd(a, n) != 1:
+    if math.gcd(a, n) != 1:
         raise ParameterError(f"gcd({a}, {n}) != 1")
     x = a % n
     r = 1
@@ -172,6 +163,7 @@ def measurement_distribution(r: int, q_size: int) -> np.ndarray:
         raise ParameterError(f"period must satisfy 1 <= r <= Q: {r}")
     if q_size > MAX_DENSE_Q:
         raise ParameterError(f"dense distribution capped at Q = 2^22, got {q_size}")
+    import numpy as np
 
     m = -(-q_size // r)
     y = np.arange(q_size, dtype=np.int64)
@@ -294,23 +286,6 @@ def base_probabilities(n: int, bases: list[int], q_size: int) -> list[tuple[int,
     return out
 
 
-def shor_distribution(n: int, a: int, q_size: Optional[int] = None) -> ShorDistribution:
-    """Distribution summary for one (n, a); dense vector included when Q permits."""
-    if q_size is None:
-        q_size = default_q(n)
-    ((r, plain, refined),) = base_probabilities(n, [a], q_size)
-    probs = measurement_distribution(r, q_size) if q_size <= MAX_DENSE_Q else None
-    return ShorDistribution(
-        n=n,
-        a=a,
-        r=r,
-        q_size=q_size,
-        probs=probs,
-        success_prob=plain,
-        success_prob_refined=refined,
-    )
-
-
 def _euler_phi(n: int) -> int:
     phi, m, d = n, n, 2
     while d * d <= m:
@@ -341,7 +316,7 @@ def draw_bases(stream: SeedStream, n: int, count: int) -> list[int]:
     seen = set()
     while len(bases) < count:
         a = 2 + stream_uint(stream, n - 3)
-        if a in seen or gcd(a, n) != 1:
+        if a in seen or math.gcd(a, n) != 1:
             continue
         seen.add(a)
         bases.append(a)

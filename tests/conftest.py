@@ -1,4 +1,5 @@
 import contextlib
+import json
 import os
 import signal
 import subprocess
@@ -31,19 +32,54 @@ def wall_clock():
     return limit
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.fixture
 def cli_process():
     """Run `python -m proxrsa argv` from this checkout; a hang fails after `timeout` s."""
 
     def run(argv, timeout, cwd=None):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
             [sys.executable, "-m", "proxrsa", *argv],
             capture_output=True,
             text=True,
             timeout=timeout,
             cwd=cwd,
-            env=env,
+            env=_child_env(),
         )
+
+    return run
+
+
+_PROBE = """
+import json, resource, sys
+from proxrsa import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+report = {"codes": codes, "numpy": "numpy" in sys.modules,
+          "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
+print(json.dumps(report), file=sys.stderr)
+"""
+
+
+@pytest.fixture
+def cli_probe():
+    """Run `cli.main(argv)` for each argv in turn in one fresh interpreter.
+
+    Returns (stdout, report); report holds the exit codes, whether numpy
+    was imported, and the interpreter's peak RSS in kB (ru_maxrss).
+    """
+
+    def run(argvs):
+        result = subprocess.run(
+            [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout, json.loads(result.stderr.splitlines()[-1])
 
     return run

@@ -1,11 +1,13 @@
 import csv
 import json
+import pathlib
 
 import pytest
 
 from proxrsa import cli
 
 ZEROS = "00" * 32
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -174,6 +176,29 @@ def test_shor_sim_single_base(capsys):
     assert doc["r"] == 4
     assert doc["success_prob"] == pytest.approx(0.5, abs=1e-12)
     assert doc["success_prob_refined"] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_shor_sim_single_base_skips_the_dense_vector(cli_probe):
+    """At N = 2047 Q is 2^22, the largest Q with a dense vector; building it
+    took about 300 MB, and the command never prints it."""
+    out, report = cli_probe([["shor-sim", "--N", "2047", "--a", "2"]])
+    assert report["codes"] == [cli.EXIT_OK]
+    assert out == (DATA / "shor_sim_2047_a2.json").read_text()
+    assert report["maxrss_kb"] < 100 * 1024
+
+
+def test_key_commands_never_import_numpy(tmp_path, cli_probe):
+    key = tmp_path / "key.json"
+    _, report = cli_probe(
+        [
+            keygen_args(key),
+            ["verify", str(key)],
+            ["analyze", str(key), "-o", str(tmp_path / "report.json")],
+            ["shor-sim", "--N", "2047", "--a", "2"],
+        ]
+    )
+    assert report["codes"] == [cli.EXIT_OK] * 4
+    assert not report["numpy"]
 
 
 def test_shor_sim_sweep(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from proxrsa import numerics
 from proxrsa.errors import (
-    NotInvertibleError,
     ParameterError,
     RangeTooLargeError,
     SearchExhaustedError,
@@ -30,7 +30,7 @@ def naive_sieve(limit):
 
 def test_prf_block_is_sha256_of_seed_and_counter():
     stream = SeedStream(bytes(32))
-    block = numerics.prf_block(stream)
+    block = stream.block()
     # 32 zero bytes + 8 zero counter bytes = 40 zero bytes
     assert block == hashlib.sha256(bytes(40)).digest()
     assert (
@@ -40,20 +40,20 @@ def test_prf_block_is_sha256_of_seed_and_counter():
 
 
 def test_prf_block_replay_and_distinct_counters():
-    a = numerics.prf_block(SeedStream(bytes(32)))
-    b = numerics.prf_block(SeedStream(bytes(32)))
+    a = SeedStream(bytes(32)).block()
+    b = SeedStream(bytes(32)).block()
     assert a == b
     s = SeedStream(bytes(32))
-    first, second = numerics.prf_block(s), numerics.prf_block(s)
+    first, second = s.block(), s.block()
     assert first != second
     assert second == hashlib.sha256(bytes(32) + (1).to_bytes(8, "big")).digest()
 
 
 def test_stream_counter_overflow():
     s = SeedStream(bytes(32), counter=(1 << 64) - 1)
-    numerics.prf_block(s)
+    s.block()
     with pytest.raises(StreamExhaustedError):
-        numerics.prf_block(s)
+        s.block()
 
 
 def test_seed_must_be_32_bytes():
@@ -149,22 +149,6 @@ def test_probable_prime_above_two_to_256(wall_clock):
         assert not numerics.is_probable_prime(((1 << 521) - 1) * ((1 << 127) - 1))
 
 
-# --- isqrt ----------------------------------------------------------------
-
-
-def test_isqrt_examples():
-    assert numerics.isqrt(0) == 0
-    assert numerics.isqrt(15) == 3
-    assert numerics.isqrt(10403) == 101
-
-
-@given(st.integers(0, 1 << 256))
-@settings(max_examples=1000)
-def test_isqrt_brackets_the_square(n):
-    r = numerics.isqrt(n)
-    assert r * r <= n < (r + 1) * (r + 1)
-
-
 # --- progression search ---------------------------------------------------
 
 
@@ -189,7 +173,7 @@ def test_progression_exhausts():
 @settings(max_examples=200, deadline=None)
 def test_progression_postconditions(start, modulus, data):
     residue = data.draw(
-        st.sampled_from([r for r in range(modulus) if numerics.gcd(r, modulus) == 1])
+        st.sampled_from([r for r in range(modulus) if math.gcd(r, modulus) == 1])
     )
     p = numerics.next_prime_in_progression(start, residue, modulus, 10_000)
     assert p >= start
@@ -238,32 +222,18 @@ def test_sieve_range_errors():
 
 
 def test_modular_examples():
-    assert numerics.mod_inverse(3, 10) == 7
-    assert numerics.gcd(0, 5) == 5
     assert numerics.mod_pow(2, 10, 1000) == 24
-
-
-def test_mod_inverse_rejects_non_units():
-    with pytest.raises(NotInvertibleError):
-        numerics.mod_inverse(4, 10)
+    assert numerics.mod_pow(7, 0, 1) == 0
+    with pytest.raises(ParameterError):
+        numerics.mod_pow(2, 10, 0)
+    with pytest.raises(ParameterError):
+        numerics.mod_pow(3, -1, 10)
 
 
 @given(st.integers(0, 1 << 128), st.integers(0, 1 << 32), st.integers(1, 1 << 64))
 @settings(max_examples=300)
 def test_mod_pow_matches_builtin(base, exponent, modulus):
     assert numerics.mod_pow(base, exponent, modulus) == pow(base, exponent, modulus)
-
-
-@given(st.integers(1, 1 << 64), st.integers(2, 1 << 64))
-@settings(max_examples=300)
-def test_mod_inverse_roundtrip(a, m):
-    if numerics.gcd(a, m) != 1:
-        with pytest.raises(NotInvertibleError):
-            numerics.mod_inverse(a, m)
-        return
-    inv = numerics.mod_inverse(a, m)
-    assert 0 <= inv < m
-    assert a * inv % m == 1
 
 
 def test_first_primes():
