@@ -170,11 +170,11 @@ def _keygen_params(args) -> KeyGenParams:
 
 
 def _write_key(kp, out_path: Optional[str]) -> None:
-    data = keyfile.document_to_bytes(keyfile.keypair_to_document(kp))
     if out_path is None:
+        data = keyfile.document_to_bytes(keyfile.keypair_to_document(kp))
         sys.stdout.write(data.decode("utf-8"))
     else:
-        keyfile.atomic_write_bytes(out_path, data)
+        keyfile.write_key_file(out_path, kp)
         print(
             f"note: {out_path} contains private key material; "
             "restrict its permissions (e.g. chmod 600)",
@@ -221,6 +221,8 @@ def _closest_pair(primes: list[int]) -> list[int]:
 
 def _cmd_analyze(args) -> int:
     key = keyfile.read_key_file(args.keyfile)
+    if len(key.primes) < 2 or (key.inner_primes is not None and len(key.inner_primes) < 2):
+        raise ParameterError(f"{args.keyfile}: analyze needs a key of at least two primes")
     if key.inner_primes:
         # layered keys: the quantum structure rides on the close inner
         # pair; classical attacks see the outer modulus (classical_report)

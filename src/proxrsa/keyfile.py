@@ -18,10 +18,6 @@ from .errors import ParameterError
 from .keygen import KeyPair
 
 
-def _hex(v: int) -> str:
-    return hex(v)
-
-
 def _unhex(s: str) -> int:
     if not isinstance(s, str) or not s.startswith("0x"):
         raise ParameterError(f"expected 0x-prefixed hex string, got {s!r}")
@@ -51,13 +47,13 @@ def keypair_to_document(kp: KeyPair) -> dict:
         "k": kp.params.k,
         "gamma": gamma_to_str(kp.params.resolved_gamma()),
         "beta": kp.params.beta,
-        "e": _hex(kp.e),
-        "d": _hex(kp.d),
-        "N": _hex(kp.n),
-        "primes": [_hex(p) for p in kp.primes],
-        "M": _hex(kp.m_modulus),
-        "residues": [_hex(r) for r in kp.residues],
-        "inner_primes": [_hex(p) for p in kp.inner_primes] if kp.inner_primes else None,
+        "e": hex(kp.e),
+        "d": hex(kp.d),
+        "N": hex(kp.n),
+        "primes": [hex(p) for p in kp.primes],
+        "M": hex(kp.m_modulus),
+        "residues": [hex(r) for r in kp.residues],
+        "inner_primes": [hex(p) for p in kp.inner_primes] if kp.inner_primes else None,
         "entropy_report": kp.entropy.to_dict(),
         "seed": "0x" + kp.params.seed.hex(),
     }
@@ -104,7 +100,33 @@ class LoadedKey:
     seed: bytes
 
 
+# JSON type of each field, as docs/key-schema.json gives it.
+_FIELD_TYPES = {
+    "variant": str,
+    "k": int,
+    "gamma": str,
+    "beta": (int, float),
+    "e": str,
+    "d": str,
+    "N": str,
+    "primes": list,
+    "M": str,
+    "residues": list,
+    "inner_primes": (list, type(None)),
+    "entropy_report": (dict, type(None)),
+    "seed": str,
+}
+
+
 def load_key_document(doc: dict) -> LoadedKey:
+    if not isinstance(doc, dict):
+        raise ParameterError(f"malformed key document: {type(doc).__name__}, not an object")
+    for name, types in _FIELD_TYPES.items():
+        value = doc.get(name)
+        if name in doc and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ParameterError(
+                f"malformed key document: {name} has the wrong type ({type(value).__name__})"
+            )
     try:
         seed_hex = doc["seed"]
         if not seed_hex.startswith("0x"):
@@ -112,7 +134,7 @@ def load_key_document(doc: dict) -> LoadedKey:
         inner = doc.get("inner_primes")
         return LoadedKey(
             variant=doc["variant"],
-            k=int(doc["k"]),
+            k=doc["k"],
             gamma=gamma_from_str(doc["gamma"]),
             beta=float(doc["beta"]),
             e=_unhex(doc["e"]),

@@ -12,14 +12,23 @@ Three variants share one pipeline:
   2^(k/2 - shift), keeping Fermat-style factoring infeasible on the outer
   modulus.
 
+`_generate` is that pipeline: it builds M, draws the residues and runs
+the one restart loop, calling a per-variant attempt and finalizing the
+exponents of whatever the attempt returns.  Every attempt is built from
+two candidate scans: numerics.next_prime_in_progression for anchors and
+outer primes (the outer candidates K*2^shift + p are the progression
+== p mod 2^shift), and `_partner_primes`, the probable primes among the
+first max_candidates candidates around an anchor, closest first.
+
 Everything is a deterministic function of the parameters (seed included):
 candidate bases, residues and search order are all derived from one
-SHA-256 counter stream, and candidate scans always return the smallest
-qualifying value, so two runs can never diverge.
+SHA-256 counter stream, and every scan returns the first qualifying
+candidate in its fixed order, so two runs can never diverge.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,32 +129,6 @@ def build_small_modulus(ell: int) -> int:
     return m
 
 
-def _odd_prime_factors(m: int) -> list[int]:
-    factors = []
-    n = m
-    while n % 2 == 0:
-        n //= 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            factors.append(f)
-            while n % f == 0:
-                n //= f
-        f += 2
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
-def _totient(m: int) -> int:
-    phi = m
-    n = m
-    for p in [2] + _odd_prime_factors(m):
-        if n % p == 0:
-            phi = phi // p * (p - 1)
-    return phi
-
-
 def derive_residues(m_modulus: int, stream: SeedStream, count: int) -> list[int]:
     """`count` distinct units of Z_M^*, spread across the factors of M.
 
@@ -161,12 +144,12 @@ def derive_residues(m_modulus: int, stream: SeedStream, count: int) -> list[int]
         raise ParameterError("modulus must be >= 2")
     if count < 1:
         raise ParameterError("count must be >= 1")
-    if count > _totient(m_modulus):
+    if count > numerics.euler_phi(m_modulus):
         raise InfeasibleError(
             f"{count} distinct residues requested but |Z_{m_modulus}^*| is smaller"
         )
 
-    separating = [p for p in _odd_prime_factors(m_modulus) if p - 1 >= count]
+    separating = [p for p in numerics.prime_factors(m_modulus) if p - 1 >= count]
     chosen: list[int] = []
     seen_classes = [set() for _ in separating]
     seen_values: set[int] = set()
@@ -207,6 +190,13 @@ def _partner_candidates(p: int, residue: int, modulus: int, max_gap: int):
             down -= modulus
 
 
+def _partner_primes(p: int, residue: int, modulus: int, max_gap: int, max_candidates: int):
+    """Probable primes among the first max_candidates of _partner_candidates."""
+    for q in itertools.islice(_partner_candidates(p, residue, modulus, max_gap), max_candidates):
+        if numerics.is_probable_prime(q, PRIME_TEST_ROUNDS):
+            yield q
+
+
 def _search_close_partner(
     p: int,
     residue: int,
@@ -219,13 +209,7 @@ def _search_close_partner(
     that passes the exact proximity and entropy constraints, or None."""
     # Smallest gap outside the open window |q - p| < gamma * p.
     max_gap = (gamma.numerator * p - 1) // gamma.denominator + 1
-    examined = 0
-    for q in _partner_candidates(p, residue, m_modulus, max_gap):
-        if examined >= max_candidates:
-            break
-        examined += 1
-        if not numerics.is_probable_prime(q, PRIME_TEST_ROUNDS):
-            continue
+    for q in _partner_primes(p, residue, m_modulus, max_gap, max_candidates):
         ok, report = check_entropy_constraint(p, q, gamma, beta)
         if ok:
             return q, report
@@ -250,8 +234,8 @@ def _dominant_pair_report(primes: list[int], gamma: Fraction, m: int) -> Entropy
     )
 
 
-def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int, int, int]]:
-    """(n, phi, e, d) when e is usable and d clears the d^10 > n^3 floor."""
+def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int, int]]:
+    """(n, phi, d) when e is usable and d clears the d^10 > n^3 floor."""
     n = 1
     phi = 1
     for p in primes:
@@ -262,7 +246,63 @@ def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int, i
     d = pow(e, -1, phi)
     if d**10 <= n**3:
         return None
-    return n, phi, e, d
+    return n, phi, d
+
+
+def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
+    """The pipeline the three variants share.
+
+    Draws `count` residues mod the product of the first `ell` primes, then
+    restarts `attempt(stream, bits, residues, m_modulus, gamma, params)` up
+    to max_restarts times.  An attempt returns (primes, entropy report,
+    inner primes) or None; the first whose exponents finalize is the key.
+    """
+    m_modulus = build_small_modulus(ell)
+    stream = SeedStream(params.seed)
+    residues = derive_residues(m_modulus, stream, count)
+    if bits < 8:  # only a multi-prime split can get this narrow
+        raise ParameterError(f"k={params.k} too small for {count} primes")
+    if m_modulus.bit_length() > bits:
+        what = "inner primes" if variant == "compatible" else "primes"
+        raise ParameterError(
+            f"congruence modulus ({m_modulus.bit_length()} bits) too wide for {bits}-bit {what}"
+        )
+    gamma = params.resolved_gamma()
+    for _ in range(params.max_restarts):
+        found = attempt(stream, bits, residues, m_modulus, gamma, params)
+        if found is None:
+            continue
+        primes, report, inner = found
+        done = _finalize_exponents(params.e, primes)
+        if done is None:
+            continue
+        n, phi, d = done
+        return KeyPair(
+            variant=variant,
+            n=n,
+            e=params.e,
+            d=d,
+            primes=primes,
+            m_modulus=m_modulus,
+            residues=residues,
+            phi=phi,
+            entropy=report,
+            params=params,
+            inner_primes=inner,
+        )
+    raise SearchExhaustedError(exhausted)
+
+
+def _draw_anchor(stream, bits, residue, m_modulus, params) -> Optional[int]:
+    """First prime == residue (mod M) at or above a drawn `bits`-wide base."""
+    base = numerics.stream_bits(stream, bits)
+    base |= 3 << (bits - 2)  # keep the product of the primes at full width
+    try:
+        return numerics.next_prime_in_progression(
+            base, residue, m_modulus, params.max_candidates, PRIME_TEST_ROUNDS
+        )
+    except SearchExhaustedError:
+        return None
 
 
 def generate_keypair(params: KeyGenParams) -> KeyPair:
@@ -274,60 +314,24 @@ def generate_keypair(params: KeyGenParams) -> KeyPair:
     fresh base from the same stream.
     """
     params.validate()
-    gamma = params.resolved_gamma()
-    m_modulus = build_small_modulus(params.resolved_ell())
-    stream = SeedStream(params.seed)
-    res_a, res_b = derive_residues(m_modulus, stream, 2)
-
-    half_bits = params.k // 2
-    if m_modulus.bit_length() > half_bits:
-        raise ParameterError(
-            f"congruence modulus ({m_modulus.bit_length()} bits) too wide for {half_bits}-bit primes"
-        )
-    for _ in range(params.max_restarts):
-        p, q, report = _attempt_pair(
-            stream, half_bits, res_a, res_b, m_modulus, gamma, params
-        )
-        if p is None:
-            continue
-        done = _finalize_exponents(params.e, [p, q])
-        if done is None:
-            continue
-        n, phi, e, d = done
-        return KeyPair(
-            variant="standard",
-            n=n,
-            e=e,
-            d=d,
-            primes=[p, q],
-            m_modulus=m_modulus,
-            residues=[res_a, res_b],
-            phi=phi,
-            entropy=report,
-            params=params,
-            inner_primes=None,
-        )
-    raise SearchExhaustedError(
-        f"no compliant pair within {params.max_restarts} restarts (k={params.k}, gamma={gamma})"
+    return _generate(
+        params, "standard", params.resolved_ell(), 2, params.k // 2, _attempt_pair,
+        f"no compliant pair within {params.max_restarts} restarts"
+        f" (k={params.k}, gamma={params.resolved_gamma()})",
     )
 
 
-def _attempt_pair(stream, half_bits, res_a, res_b, m_modulus, gamma, params):
-    base = numerics.stream_bits(stream, half_bits)
-    base |= 3 << (half_bits - 2)  # keep p*q at full width
-    try:
-        p = numerics.next_prime_in_progression(
-            base, res_a, m_modulus, params.max_candidates, PRIME_TEST_ROUNDS
-        )
-    except SearchExhaustedError:
-        return None, None, None
+def _attempt_pair(stream, bits, residues, m_modulus, gamma, params):
+    p = _draw_anchor(stream, bits, residues[0], m_modulus, params)
+    if p is None:
+        return None
     found = _search_close_partner(
-        p, res_b, m_modulus, gamma, params.beta, params.max_candidates
+        p, residues[1], m_modulus, gamma, params.beta, params.max_candidates
     )
     if found is None:
-        return None, None, None
+        return None
     q, report = found
-    return p, q, report
+    return [p, q], report, None
 
 
 def generate_multiprime(params: KeyGenParams, m: int) -> KeyPair:
@@ -339,68 +343,31 @@ def generate_multiprime(params: KeyGenParams, m: int) -> KeyPair:
     params.validate()
     if m < 3:
         raise ParameterError(f"multi-prime count must be >= 3: {m}")
-    gamma = params.resolved_gamma()
-    m_modulus = build_small_modulus(params.resolved_ell())
-    stream = SeedStream(params.seed)
-    residues = derive_residues(m_modulus, stream, m)
 
-    prime_bits = params.k // m
-    if prime_bits < 8:
-        raise ParameterError(f"k={params.k} too small for {m} primes")
-    if m_modulus.bit_length() > prime_bits:
-        raise ParameterError(
-            f"congruence modulus ({m_modulus.bit_length()} bits) too wide for {prime_bits}-bit primes"
-        )
-
-    for _ in range(params.max_restarts):
-        primes = _attempt_cluster(stream, prime_bits, residues, m_modulus, gamma, params)
+    def attempt(stream, bits, residues, m_modulus, gamma, params):
+        primes = _attempt_cluster(stream, bits, residues, m_modulus, gamma, params)
         if primes is None:
-            continue
-        done = _finalize_exponents(params.e, primes)
-        if done is None:
-            continue
-        n, phi, e, d = done
-        return KeyPair(
-            variant="multiprime",
-            n=n,
-            e=e,
-            d=d,
-            primes=primes,
-            m_modulus=m_modulus,
-            residues=residues,
-            phi=phi,
-            entropy=_dominant_pair_report(primes, gamma, m),
-            params=params,
-            inner_primes=None,
-        )
-    raise SearchExhaustedError(
-        f"no compliant {m}-prime cluster within {params.max_restarts} restarts"
+            return None
+        return primes, _dominant_pair_report(primes, gamma, m), None
+
+    return _generate(
+        params, "multiprime", params.resolved_ell(), m, params.k // m, attempt,
+        f"no compliant {m}-prime cluster within {params.max_restarts} restarts",
     )
 
 
 def _attempt_cluster(stream, prime_bits, residues, m_modulus, gamma, params):
-    base = numerics.stream_bits(stream, prime_bits)
-    base |= 3 << (prime_bits - 2)
-    try:
-        anchor = numerics.next_prime_in_progression(
-            base, residues[0], m_modulus, params.max_candidates, PRIME_TEST_ROUNDS
-        )
-    except SearchExhaustedError:
+    anchor = _draw_anchor(stream, prime_bits, residues[0], m_modulus, params)
+    if anchor is None:
         return None
     primes = [anchor]
     max_gap = gamma.numerator * anchor // gamma.denominator + 1
     for residue in residues[1:]:
-        chosen = None
-        examined = 0
-        for q in _partner_candidates(anchor, residue, m_modulus, max_gap):
-            if examined >= params.max_candidates:
-                break
-            examined += 1
-            if not numerics.is_probable_prime(q, PRIME_TEST_ROUNDS):
-                continue
-            if all(proximity_holds_exact(p, q, gamma) for p in primes):
-                chosen = q
-                break
+        partners = _partner_primes(anchor, residue, m_modulus, max_gap, params.max_candidates)
+        chosen = next(
+            (q for q in partners if all(proximity_holds_exact(p, q, gamma) for p in primes)),
+            None,
+        )
         if chosen is None:
             return None
         primes.append(chosen)
@@ -424,80 +391,49 @@ def generate_compatible(params: KeyGenParams, shift: int = DEFAULT_SHIFT) -> Key
         raise ParameterError(
             f"k={params.k} with shift={shift} leaves only {inner_bits} bits for inner primes"
         )
-
-    gamma = params.resolved_gamma()
     # The inner pair is its own generation problem at effective size
     # 2*inner_bits, so the default congruence modulus scales with that,
     # not with the outer k; an explicit ell is honored as given.
     inner_ell = params.ell if params.ell is not None else max(1, (2 * inner_bits).bit_length() - 1)
-    m_modulus = build_small_modulus(inner_ell)
-    stream = SeedStream(params.seed)
-    res_a, res_b = derive_residues(m_modulus, stream, 2)
-    if m_modulus.bit_length() > inner_bits:
-        raise ParameterError(
-            f"congruence modulus ({m_modulus.bit_length()} bits) too wide for {inner_bits}-bit inner primes"
-        )
 
-    target_gap = 1 << (params.k // 2 - shift)
-    scale = 1 << shift
-    for _ in range(params.max_restarts):
-        p, q, report = _attempt_pair(
-            stream, inner_bits, res_a, res_b, m_modulus, gamma, params
-        )
-        if p is None:
-            continue
+    def attempt(stream, bits, residues, m_modulus, gamma, params):
+        found = _attempt_pair(stream, bits, residues, m_modulus, gamma, params)
+        if found is None:
+            return None
+        (p, q), report, _ = found
         # Inner widths must be exact so the shift stays recoverable from
         # the key file (validators re-derive it from the inner bit length).
         if p.bit_length() != inner_bits or q.bit_length() != inner_bits:
-            continue
-        outer = _attempt_outer(stream, params, shift, p, q, target_gap, scale)
-        if outer is None:
-            continue
-        p_outer, q_outer = outer
-        done = _finalize_exponents(params.e, [p_outer, q_outer])
-        if done is None:
-            continue
-        n, phi, e, d = done
-        return KeyPair(
-            variant="compatible",
-            n=n,
-            e=e,
-            d=d,
-            primes=[p_outer, q_outer],
-            m_modulus=m_modulus,
-            residues=[res_a, res_b],
-            phi=phi,
-            entropy=report,
-            params=params,
-            inner_primes=[p, q],
-        )
-    raise SearchExhaustedError(
-        f"no compatible-layer key within {params.max_restarts} restarts (k={params.k}, shift={shift})"
+            return None
+        outer = _attempt_outer(stream, params, shift, p, q)
+        return None if outer is None else (outer, report, [p, q])
+
+    return _generate(
+        params, "compatible", inner_ell, 2, inner_bits, attempt,
+        f"no compatible-layer key within {params.max_restarts} restarts"
+        f" (k={params.k}, shift={shift})",
     )
 
 
-def _attempt_outer(stream, params, shift, p, q, target_gap, scale):
+def _attempt_outer(stream, params, shift, p, q):
+    """Outer primes K*2^shift + p and (K + j)*2^shift + q, each the first
+    prime of its progression mod 2^shift, or None."""
     outer_k_bits = params.k // 2 - shift  # width of K so that p' spans k//2 bits
     k_base = numerics.stream_bits(stream, outer_k_bits)
     k_base |= 1 << (outer_k_bits - 1)
-
-    p_outer = None
-    for step in range(params.max_candidates):
-        candidate = (k_base + step) * scale + p
-        if numerics.is_probable_prime(candidate, PRIME_TEST_ROUNDS):
-            p_outer = candidate
-            k_chosen = k_base + step
-            break
-    if p_outer is None:
-        return None
-
+    scale = 1 << shift
+    target_gap = 1 << (params.k // 2 - shift)
     j_floor = -(-(abs(p - q) + 2 * target_gap) // scale)
-    for step in range(params.max_candidates):
-        j = j_floor + step
-        candidate = (k_chosen + j) * scale + q
-        if numerics.is_probable_prime(candidate, PRIME_TEST_ROUNDS):
-            gap = abs(candidate - p_outer)
-            if gap < target_gap:  # unreachable by construction; guard anyway
-                return None
-            return p_outer, candidate
-    return None
+    try:
+        p_outer = numerics.next_prime_in_progression(
+            k_base * scale + p, p % scale, scale, params.max_candidates, PRIME_TEST_ROUNDS
+        )
+        q_outer = numerics.next_prime_in_progression(
+            p_outer - p + j_floor * scale + q, q % scale, scale,
+            params.max_candidates, PRIME_TEST_ROUNDS,
+        )
+    except SearchExhaustedError:
+        return None
+    if abs(q_outer - p_outer) < target_gap:  # unreachable by construction; guard anyway
+        return None
+    return [p_outer, q_outer]

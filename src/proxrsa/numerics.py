@@ -223,3 +223,28 @@ def first_primes(count: int) -> list[int]:
         primes = _simple_sieve(limit)
         limit *= 2
     return primes[:count]
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    factors = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient of n >= 1: the count of units in Z_n."""
+    phi = n
+    for p in prime_factors(n):
+        phi -= phi // p
+    return phi

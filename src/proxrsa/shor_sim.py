@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .entropy import proximity_delta, proximity_holds_exact
 from .errors import NumericalError, ParameterError
-from .numerics import SeedStream, sieve_range, stream_uint
+from .numerics import SeedStream, euler_phi, sieve_range, stream_uint
 
 if TYPE_CHECKING:
     import numpy as np
@@ -286,19 +286,6 @@ def base_probabilities(n: int, bases: list[int], q_size: int) -> list[tuple[int,
     return out
 
 
-def _euler_phi(n: int) -> int:
-    phi, m, d = n, n, 2
-    while d * d <= m:
-        if m % d == 0:
-            phi -= phi // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        phi -= phi // m
-    return phi
-
-
 def draw_bases(stream: SeedStream, n: int, count: int) -> list[int]:
     """`count` distinct bases in [2, n-2] coprime to n, in stream order.
 
@@ -307,7 +294,7 @@ def draw_bases(stream: SeedStream, n: int, count: int) -> list[int]:
     """
     if not 3 <= n <= MAX_TOY_MODULUS:
         raise ParameterError(f"modulus must lie in [3, 2^20]: {n}")
-    usable = _euler_phi(n) - 2  # 1 and n-1 are units outside [2, n-2]
+    usable = euler_phi(n) - 2  # 1 and n-1 are units outside [2, n-2]
     if not 1 <= count <= usable:
         raise ParameterError(
             f"cannot draw {count} bases: N = {n} has {usable} bases in [2, N-2] coprime to N"

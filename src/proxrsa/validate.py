@@ -79,6 +79,8 @@ def _entropy_constraint_ok(p: int, q: int, gamma: Fraction, beta: float) -> bool
 
 
 def _odd_prime_factors(m: int) -> list[int]:
+    if m < 2:
+        return []  # nothing to factor; validate_key reports M < 2 itself
     out = []
     n = m
     while n % 2 == 0:
@@ -97,26 +99,16 @@ def _odd_prime_factors(m: int) -> list[int]:
 
 def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
     """All violated invariants of a key, empty when the key is valid."""
+    variant = key.variant
+    n, e, d = key.n, key.e, key.d
+    primes = list(key.primes)
+    m_modulus = key.m_modulus
+    residues = list(key.residues)
+    inner = list(key.inner_primes) if key.inner_primes else None
     if isinstance(key, KeyPair):
-        variant = key.variant
-        n, e, d = key.n, key.e, key.d
-        primes = list(key.primes)
-        m_modulus = key.m_modulus
-        residues = list(key.residues)
-        inner = list(key.inner_primes) if key.inner_primes else None
-        gamma = key.params.resolved_gamma()
-        beta = key.params.beta
-        k = key.params.k
+        gamma, beta, k = key.params.resolved_gamma(), key.params.beta, key.params.k
     else:
-        variant = key.variant
-        n, e, d = key.n, key.e, key.d
-        primes = list(key.primes)
-        m_modulus = key.m_modulus
-        residues = list(key.residues)
-        inner = list(key.inner_primes) if key.inner_primes else None
-        gamma = key.gamma
-        beta = key.beta
-        k = key.k
+        gamma, beta, k = key.gamma, key.beta, key.k
 
     failures: list[str] = []
 
@@ -125,6 +117,9 @@ def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
         return failures
     if variant == "compatible" and not inner:
         failures.append("compatible key is missing inner primes")
+        return failures
+    if len(primes) < 2 or (inner is not None and len(inner) < 2):
+        failures.append("fewer than two primes (or inner primes) listed")
         return failures
 
     product = 1
@@ -144,13 +139,15 @@ def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
 
     if math.gcd(e, phi) != 1:
         failures.append("gcd(e, phi) != 1")
-    elif e * d % phi != 1:
+    elif phi == 0 or e * d % phi != 1:  # phi is 0 when a listed "prime" is 1
         failures.append("e*d != 1 (mod phi)")
     if d**10 <= n**3:
         failures.append("private exponent below d^10 > N^3 floor")
 
     congruent = inner if variant == "compatible" else primes
-    if len(congruent) != len(residues):
+    if m_modulus < 2:
+        failures.append(f"congruence modulus M = {m_modulus} is below 2")
+    elif len(congruent) != len(residues):
         failures.append("residue list length mismatch")
     else:
         for i, (p, r) in enumerate(zip(congruent, residues)):

@@ -412,3 +412,56 @@ def test_key_lifecycle_at_real_sizes(k, tmp_path, cli_process):
     doc = json.loads(key.read_text())
     assert int(doc["N"], 16).bit_length() == k
     assert json.loads((tmp_path / "report.json").read_text())["variant"] == "standard"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["keygen", "--k", "32"], "no compliant pair within 2 restarts (k=32, gamma=1/1000000)"),
+        (["keygen-multi", "--m", "3", "--k", "96"], "no compliant 3-prime cluster within 2 restarts"),
+        (
+            ["keygen-compat", "--k", "256", "--shift", "20"],
+            "no compatible-layer key within 2 restarts (k=256, shift=20)",
+        ),
+    ],
+    ids=["keygen", "keygen-multi", "keygen-compat"],
+)
+def test_every_variant_reports_restart_exhaustion(argv, message, tmp_path, capsys):
+    code, _, err = run(
+        capsys, *argv, "--gamma", "1/1000000", "--seed", ZEROS, "--insecure-small",
+        "--max-candidates", "4", "--max-restarts", "2", "-o", str(tmp_path / "k.json"),
+    )
+    assert code == cli.EXIT_EXHAUSTED
+    assert err == f"error: {message}\n"
+
+
+# (command, fields replaced in a valid key document, documented exit code)
+MALFORMED = [
+    ("verify", {"M": "0x0", "residues": ["0x1"]}, cli.EXIT_VERIFY_FAILED),
+    ("verify", {"M": "0x0"}, cli.EXIT_VERIFY_FAILED),
+    ("verify", {"seed": 5}, cli.EXIT_BAD_PARAMS),
+    ("analyze", {"seed": 5}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"gamma": 5}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"k": "512"}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"primes": {}}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"primes": []}, cli.EXIT_VERIFY_FAILED),
+    ("analyze", {"primes": []}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"primes": ["0x5"]}, cli.EXIT_VERIFY_FAILED),
+    ("analyze", {"primes": ["0x5"]}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"primes": ["0x1", "0x5"], "e": "0x1"}, cli.EXIT_VERIFY_FAILED),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fields, code",
+    MALFORMED,
+    ids=[f"{cmd}-{json.dumps(fields)}" for cmd, fields, _ in MALFORMED],
+)
+def test_malformed_key_document_ends_with_its_exit_code(command, fields, code, tmp_path, cli_process):
+    doc = json.loads((DATA / "keys" / "keygen-k512-seed00.json").read_text())
+    doc.update(fields)
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps(doc))
+    result = cli_process([command, str(key)], timeout=60)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr

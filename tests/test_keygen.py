@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from proxrsa import keyfile, keygen, validate
-from proxrsa.errors import InfeasibleError, ParameterError
+from proxrsa import keyfile, keygen, numerics, validate
+from proxrsa.errors import InfeasibleError, ParameterError, SearchExhaustedError
 from proxrsa.keygen import KeyGenParams
 from proxrsa.numerics import SeedStream, mod_pow
 
@@ -253,6 +253,42 @@ def test_compatible_rejects_small_shift():
         keygen.generate_compatible(
             KeyGenParams(k=256, seed=ZERO_SEED, gamma=Fraction(1, 4)), shift=4
         )
+
+
+# --- candidate scans --------------------------------------------------------
+
+# variant -> (generator, k, the scans of one attempt in order)
+SCANS = {
+    "standard": (keygen.generate_keypair, 64, ["anchor", "partner"]),
+    "multi": (lambda p: keygen.generate_multiprime(p, 3), 96, ["anchor", "partner1", "partner2"]),
+    "compat": (
+        lambda p: keygen.generate_compatible(p, shift=20),
+        256,
+        ["anchor", "partner", "outer-p", "outer-q"],
+    ),
+}
+SCAN_CASES = [(variant, i) for variant, (_, _, scans) in SCANS.items() for i in range(len(scans))]
+
+
+@pytest.mark.parametrize(
+    "variant, accepted", SCAN_CASES, ids=[f"{v}-{SCANS[v][2][i]}" for v, i in SCAN_CASES]
+)
+def test_each_scan_stops_after_max_candidates(variant, accepted, monkeypatch):
+    """The first `accepted` primality tests pass and every later candidate is
+    composite, so the next scan gives up after exactly max_candidates tests
+    and the single restart is exhausted."""
+    calls = []
+
+    def first_only(n, rounds=64):
+        calls.append(n)
+        return len(calls) <= accepted
+
+    monkeypatch.setattr(numerics, "is_probable_prime", first_only)
+    generate, k, _ = SCANS[variant]
+    with pytest.raises(SearchExhaustedError):
+        generate(params64(k=k, max_candidates=5, max_restarts=1))
+    assert len(calls) == accepted + 5
+    assert len(set(calls)) == len(calls)
 
 
 # --- serialization round trip ---------------------------------------------

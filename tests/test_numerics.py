@@ -240,3 +240,12 @@ def test_first_primes():
     assert numerics.first_primes(0) == []
     assert numerics.first_primes(5) == [2, 3, 5, 7, 11]
     assert len(numerics.first_primes(100)) == 100
+
+
+def test_prime_factors_and_euler_phi_match_brute_force():
+    for n in range(1, 400):
+        factors = numerics.prime_factors(n)
+        assert factors == [p for p in range(2, n + 1) if n % p == 0 and numerics.is_probable_prime(p)]
+        assert numerics.euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
+    with pytest.raises(ParameterError):
+        numerics.prime_factors(0)
