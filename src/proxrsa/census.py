@@ -5,6 +5,14 @@ consecutive prime pairs (p, next prime) and census_progression counts all
 pairs p < q in prescribed residue classes.  Both decide the proximity
 predicate |q - p| < gamma*sqrt(p*q) in exact integer arithmetic.
 
+For fixed p the predicate holds exactly for 0 < q - p <= G(p), and the
+threshold gap G(p) is an integer square root away (_max_gap), growing
+with p.  So neither census tests pairs one by one: census_pairs counts
+the gaps of each sieve segment against G at the segment's two ends and
+tests only the gaps between those two thresholds, and census_progression
+counts each p's partners with two bisections.  Both cost O(n log n) in
+the n primes of the range and stay exact.
+
 reference_density is gamma * x / ln(x)^2 at x = range_hi with the natural
 logarithm (the analytic convention); the ratio column is reported for
 inspection and never asserted against a threshold.
@@ -20,10 +28,11 @@ from typing import Optional
 
 from .errors import ParameterError, RangeTooLargeError
 from .keygen import default_gamma
-from .numerics import sieve_range
+from .numerics import _base_primes, _segment_primes, sieve_range
 
 _SEGMENT = 1 << 24
 _MAX_HI = 1 << 40
+_MAX_PROGRESSION_SPAN = 1 << 26
 
 
 @dataclass
@@ -79,12 +88,22 @@ def _proximate(p: int, q: int, gamma: Fraction) -> bool:
     return den * den * (q - p) * (q - p) < num * num * p * q
 
 
-def _segmented_primes(lo: int, hi: int):
-    start = lo
-    while start <= hi:
-        end = min(start + _SEGMENT - 1, hi)
-        yield from sieve_range(start, end)
-        start = end + 1
+def _max_gap(p: int, gamma: Fraction) -> int:
+    """G(p): the largest g >= 0 with _proximate(p, p + g, gamma) for p >= 1.
+
+    With a = den^2 and b = num^2*p the predicate reads a*g^2 - b*g - b*p < 0,
+    true from g = 0 up to the root r = (b + sqrt(D)) / 2a, D = b^2 + 4*a*b*p,
+    which is linear in p.  b + sqrt(D) lies in [b + isqrt(D), b + isqrt(D) + 1)
+    and no multiple of 2a lies strictly inside that, so flooring the square
+    root first still gives floor(r).  G(p) is floor(r), or one less when r
+    is an integer, and _proximate settles which.
+    """
+    a = gamma.denominator * gamma.denominator
+    b = gamma.numerator * gamma.numerator * p
+    g = (b + math.isqrt(b * b + 4 * a * b * p)) // (2 * a)
+    if g > 0 and not _proximate(p, p + g, gamma):
+        return g - 1
+    return g
 
 
 def _reference(gamma: Fraction, hi: int) -> float:
@@ -98,14 +117,29 @@ def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
     _check_range(lo, hi)
     _check_gamma(gamma)
 
+    import numpy as np
+
+    base = _base_primes(hi)
     prime_count = 0
     pair_count = 0
     prev: Optional[int] = None
-    for p in _segmented_primes(lo, hi):
-        prime_count += 1
-        if prev is not None and _proximate(prev, p, gamma):
+    for start in range(lo, hi + 1, _SEGMENT):
+        primes = _segment_primes(start, min(start + _SEGMENT - 1, hi), base)
+        if not len(primes):
+            continue
+        first, last = int(primes[0]), int(primes[-1])
+        if prev is not None and _proximate(prev, first, gamma):
             pair_count += 1
-        prev = p
+        # Every gap up to G(first) passes, every gap beyond G(last) fails.
+        gaps = np.diff(primes)
+        g_first, g_last = _max_gap(first, gamma), _max_gap(last, gamma)
+        pair_count += int(np.count_nonzero(gaps <= g_first))
+        between = np.flatnonzero((gaps > g_first) & (gaps <= g_last))
+        for p, q in zip(primes[between].tolist(), primes[between + 1].tolist()):
+            if _proximate(p, q, gamma):
+                pair_count += 1
+        prime_count += len(primes)
+        prev = last
 
     reference = _reference(gamma, hi)
     return CensusReport(
@@ -132,24 +166,17 @@ def census_progression(
     for r in (res_a, res_b):
         if math.gcd(r, modulus) != 1:
             raise ParameterError(f"gcd({r}, {modulus}) != 1")
-    if hi - lo > _SEGMENT * 4:
-        raise RangeTooLargeError("progression census is all-pairs; range capped at 2^26")
+    if hi - lo > _MAX_PROGRESSION_SPAN:
+        raise RangeTooLargeError("progression census range capped at 2^26")
 
     primes = sieve_range(lo, hi)
     in_a = [p for p in primes if p % modulus == res_a % modulus]
     in_b = [p for p in primes if p % modulus == res_b % modulus]
 
-    num, den = gamma.numerator, gamma.denominator
+    # The partners of p in class b are the q in (p, p + G(p)].
     pair_count = 0
     for p in in_a:
-        start = bisect.bisect_right(in_b, p)
-        for q in in_b[start:]:
-            if _proximate(p, q, gamma):
-                pair_count += 1
-            elif 2 * den * den * (q - p) >= num * num * p:
-                # Past the vertex of den^2*(q-p)^2 - num^2*p*q and already
-                # failing: every later q fails too.
-                break
+        pair_count += bisect.bisect_right(in_b, p + _max_gap(p, gamma)) - bisect.bisect_right(in_b, p)
 
     reference = _reference(gamma, hi)
     return CensusReport(

@@ -5,8 +5,9 @@ throughout; every routine here accepts and returns plain ints, and gcd,
 modular inverse and integer square root are the builtins (``math.gcd``,
 ``pow(e, -1, m)``, ``math.isqrt``).  All randomness flows through
 :class:`SeedStream` (SHA-256 in counter mode), so identical seeds
-reproduce identical results bit for bit.  Only :func:`sieve_range` loads
-numpy, so the key path never imports it.
+reproduce identical results bit for bit.  Only the range sieve
+(:func:`sieve_range` and the census's segment sieve) loads numpy, so the
+key path never imports it.
 """
 
 from __future__ import annotations
@@ -192,18 +193,34 @@ def sieve_range(lo: int, hi: int) -> list[int]:
         raise RangeTooLargeError(f"segment span exceeds 2^28: {hi - lo}")
     if hi < 2:
         return []
+    return _segment_primes(lo, hi, _base_primes(hi)).tolist()
 
+
+def _segment_primes(lo: int, hi: int, base_primes: list[int]):
+    """The primes in [lo, hi] as an ascending numpy int64 array.
+
+    base_primes must hold every prime from 2 up to isqrt(hi), ascending;
+    larger ones are ignored, so one base list serves every segment below
+    its hi.
+    """
     import numpy as np
 
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    for v in range(lo, min(hi, 1) + 1):
-        mask[v - lo] = False
-    for p in _base_primes(hi):
-        first = max(p * p, ((lo + p - 1) // p) * p)
-        if first > hi:
-            continue
-        mask[first - lo :: p] = False
-    return [int(lo + i) for i in np.flatnonzero(mask)]
+    # Only odd numbers are sieved: mask[i] stands for odd + 2*i.
+    odd = lo | 1
+    mask = np.ones(max(0, (hi - odd) // 2 + 1), dtype=bool)
+    if odd == 1 and len(mask):
+        mask[0] = False
+    for p in base_primes[1:]:
+        if p * p > hi:
+            break
+        first = max(p * p, -(-lo // p) * p)
+        if first % 2 == 0:
+            first += p
+        mask[(first - odd) // 2 :: p] = False
+    primes = 2 * np.flatnonzero(mask) + odd
+    if lo <= 2 <= hi:
+        primes = np.concatenate(([2], primes))
+    return primes
 
 
 def _base_primes(hi: int) -> list[int]:

@@ -78,23 +78,23 @@ def _entropy_constraint_ok(p: int, q: int, gamma: Fraction, beta: float) -> bool
         return h2 < budget
 
 
-def _odd_prime_factors(m: int) -> list[int]:
-    if m < 2:
-        return []  # nothing to factor; validate_key reports M < 2 itself
-    out = []
-    n = m
-    while n % 2 == 0:
-        n //= 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 2
-    if n > 1:
-        out.append(n)
-    return out
+def _primorial_factors(m: int) -> Optional[list[int]]:
+    """The primes 2, 3, 5, ... whose product is m, or None if m is no such product.
+
+    A generated M is the product of the first ell primes.  Each next prime
+    is tried in turn and the walk stops at the first one that does not
+    divide what is left, so it makes at most log2(m) + 1 divisions.
+    """
+    factors: list[int] = []
+    n, f = m, 2
+    while n > 1:
+        if all(f % p for p in factors):  # f is the next prime
+            if n % f:
+                return None
+            n //= f
+            factors.append(f)
+        f += 1
+    return factors
 
 
 def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
@@ -155,13 +155,20 @@ def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
                 failures.append(f"prime[{i}] not congruent to its residue mod M")
     if len(set(residues)) != len(residues):
         failures.append("residues are not pairwise distinct mod M")
-    for f in _odd_prime_factors(m_modulus):
+    factors = _primorial_factors(m_modulus)
+    if factors is None:
+        failures.append("congruence modulus M is not a product of the first primes")
+    for f in factors or []:
         if f - 1 < len(residues):
             continue  # too few unit classes mod f to separate the residues
         classes = [r % f for r in residues]
         if len(set(classes)) != len(classes):
             failures.append(f"residues collide modulo factor {f} of M")
 
+    if not 0 < beta < 1:
+        failures.append(f"beta outside (0, 1): {beta}")
+    if k < 16:
+        failures.append(f"key size k = {k} is below 16")
     if not 0 < gamma < 1:
         failures.append(f"gamma outside (0, 1): {gamma}")
     else:

@@ -465,3 +465,34 @@ def test_malformed_key_document_ends_with_its_exit_code(command, fields, code, t
     result = cli_process([command, str(key)], timeout=60)
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_verify_rejects_a_prime_congruence_modulus(tmp_path, capsys, cli_process):
+    key = tmp_path / "key.json"
+    run(capsys, *keygen_args(key))
+    doc = json.loads(key.read_text())
+    doc["M"] = hex(2**127 - 1)
+    key.write_text(json.dumps(doc))
+    result = cli_process(["verify", str(key)], timeout=60)
+    assert result.returncode == cli.EXIT_VERIFY_FAILED
+    assert "FAIL: congruence modulus M is not a product of the first primes" in result.stderr.splitlines()
+
+
+@pytest.mark.parametrize(
+    "fields, failure",
+    [
+        ({"beta": 5}, "beta outside (0, 1): 5.0"),
+        ({"beta": 0}, "beta outside (0, 1): 0.0"),
+        ({"k": -5}, "key size k = -5 is below 16"),
+        ({"k": 15}, "key size k = 15 is below 16"),
+    ],
+)
+def test_verify_rejects_beta_and_k_outside_the_schema(fields, failure, tmp_path, capsys):
+    key = tmp_path / "key.json"
+    run(capsys, *keygen_args(key))
+    doc = json.loads(key.read_text())
+    doc.update(fields)
+    key.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(key))
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert f"FAIL: {failure}" in err.splitlines()

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,18 @@ def test_validator_catches_composite_prime():
     doc["primes"][0] = hex(p + 2)  # almost surely composite, breaks N too
     failures = validate.validate_key(keyfile.load_key_document(doc))
     assert failures != []
+
+
+def test_validator_reads_m_as_a_product_of_the_first_primes():
+    first = numerics.first_primes(60)
+    primorials = {}
+    for i in range(1, 7):
+        primorials[math.prod(first[:i])] = first[:i]
+    for m in range(2, 40_000):
+        assert validate._primorial_factors(m) == primorials.get(m), m
+    assert validate._primorial_factors(math.prod(first)) == first
+    for m in (2**127 - 1, 2 * (2**127 - 1), 4 * math.prod(first), math.prod(first) // 3):
+        assert validate._primorial_factors(m) is None
 
 
 def test_keygen_invariants_across_param_grid():

@@ -202,6 +202,19 @@ def test_sieve_matches_naive_oracle():
     assert numerics.sieve_range(lo, hi) == [p for p in expected if lo <= p <= hi]
 
 
+def test_segment_sieve_shares_one_base_list():
+    """Windows below 20000 sieved with the base primes of 10^6: even and odd
+    ends, windows of one number and windows around 0, 1 and 2."""
+    expected = naive_sieve(20_000)
+    base = numerics._base_primes(10**6)
+    windows = [(lo, lo + span) for lo in range(0, 40) for span in range(0, 12)]
+    windows += [(lo, lo + span) for lo in range(0, 19_000, 997) for span in (0, 1, 2, 63, 64, 1000)]
+    for lo, hi in windows:
+        got = numerics._segment_primes(lo, hi, base)
+        assert str(got.dtype) == "int64"
+        assert got.tolist() == [p for p in expected if lo <= p <= hi], (lo, hi)
+
+
 def test_sieve_high_segment():
     primes = numerics.sieve_range(10**9, 10**9 + 1000)
     assert primes[0] == 1000000007
