@@ -15,8 +15,13 @@ The lattice embedding maps a residue to the coefficient vector
 c[i] = floor(value * Re(zeta^i) / sqrt(N)) with zeta = exp(2*pi*i/m_root).
 The real part is taken before flooring (flooring a complex number is
 undefined); a "magnitude" mode flooring |value * zeta^i| / sqrt(N) exists
-for comparison.  Angles with rational cosine (0, +-1/2, +-1) are evaluated
-in exact integer arithmetic so sign-of-zero noise can never flip a floor.
+for comparison.  Angles whose cosine is a rational multiple of sqrt(d),
+d in {1, 2, 3} (0, +-1/2, +-1, +-sqrt(2)/2, +-sqrt(3)/2), are evaluated in
+exact integer arithmetic: they are the only angles where
+value * cos / sqrt(N) can land exactly on an integer (for N = d * square),
+so rounding noise there could flip a floor.  Every other cosine has degree
+at least 2 over Q(sqrt(N)) in a way that keeps the quotient off the
+integers, and mpmath at the requested precision decides it.
 """
 
 from __future__ import annotations
@@ -34,15 +39,24 @@ from .keyfile import LoadedKey
 from .keygen import KeyPair
 from .numerics import is_probable_prime
 
-_RATIONAL_COS = {
-    Fraction(0, 1): Fraction(1),
-    Fraction(1, 6): Fraction(1, 2),
-    Fraction(1, 4): Fraction(0),
-    Fraction(1, 3): Fraction(-1, 2),
-    Fraction(1, 2): Fraction(-1),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(3, 4): Fraction(0),
-    Fraction(5, 6): Fraction(1, 2),
+# turn -> (a, d, c) with cos(2*pi*turn) = a * sqrt(d) / c.
+_SURD_COS = {
+    Fraction(0, 1): (1, 1, 1),
+    Fraction(1, 12): (1, 3, 2),
+    Fraction(1, 8): (1, 2, 2),
+    Fraction(1, 6): (1, 1, 2),
+    Fraction(1, 4): (0, 1, 1),
+    Fraction(1, 3): (-1, 1, 2),
+    Fraction(3, 8): (-1, 2, 2),
+    Fraction(5, 12): (-1, 3, 2),
+    Fraction(1, 2): (-1, 1, 1),
+    Fraction(7, 12): (-1, 3, 2),
+    Fraction(5, 8): (-1, 2, 2),
+    Fraction(2, 3): (-1, 1, 2),
+    Fraction(3, 4): (0, 1, 1),
+    Fraction(5, 6): (1, 1, 2),
+    Fraction(7, 8): (1, 2, 2),
+    Fraction(11, 12): (1, 3, 2),
 }
 
 
@@ -233,16 +247,13 @@ def classical_report(key: Union[KeyPair, LoadedKey], fermat_budget: int) -> Clas
     )
 
 
-def _floor_scaled_inv_sqrt(a_num: int, b_den: int, n_value: int) -> int:
-    """floor(a_num / (b_den * sqrt(n_value))) in exact integer arithmetic."""
-    root = math.isqrt(n_value)
-    if root * root == n_value:
-        return a_num // (b_den * root)
-    if a_num == 0:
-        return 0
-    mag = math.isqrt(a_num * a_num // (b_den * b_den * n_value))
-    # a/(b*sqrt(n)) is irrational here, so there is no integer boundary case.
-    return mag if a_num > 0 else -mag - 1
+def _floor_surd_ratio(a_num: int, radicand: int, den: int) -> int:
+    """floor(a_num * sqrt(radicand) / den) in exact integer arithmetic (den > 0)."""
+    square = a_num * a_num * radicand
+    mag = math.isqrt(square // (den * den))
+    if a_num >= 0 or mag * mag * den * den == square:
+        return mag if a_num >= 0 else -mag
+    return -mag - 1
 
 
 def lattice_embed(
@@ -273,12 +284,12 @@ def lattice_embed(
                 coeffs.append(int(mp.floor(mpf(value) / root_n)))
                 continue
             turn = Fraction(i % m_root, m_root)
-            rational = _RATIONAL_COS.get(turn)
-            if rational is not None:
+            surd = _SURD_COS.get(turn)
+            if surd is not None:
+                # value * a*sqrt(d)/c / sqrt(N) = value*a * sqrt(d*N) / (c*N)
+                a, d, c = surd
                 coeffs.append(
-                    _floor_scaled_inv_sqrt(
-                        value * rational.numerator, rational.denominator, n_modulus
-                    )
+                    _floor_surd_ratio(value * a, d * n_modulus, c * n_modulus)
                 )
             else:
                 cos_i = mp.cos(2 * mp.pi * turn.numerator / turn.denominator)

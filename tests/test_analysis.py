@@ -249,6 +249,21 @@ def test_lattice_embed_matches_oracle_on_irrational_angles():
         assert got.coefficients == oracle_embed(value, n_mod, n, m_root, 512)
 
 
+def test_lattice_embed_exact_on_surd_cosines():
+    # 2 * cos(5*pi/6) / sqrt(3) = -1 and 4 * cos(3*pi/4) / sqrt(8) = -1 exactly:
+    # the floors must not depend on rounding at any precision.
+    for bits in (53, 128, 512):
+        assert analysis.lattice_embed(2, 3, 6, 12, precision_bits=bits).coefficients == [
+            1, 1, 0, 0, -1, -1
+        ]
+        assert analysis.lattice_embed(4, 8, 4, 8, precision_bits=bits).coefficients == [
+            1, 1, 0, -1
+        ]
+        assert analysis.lattice_embed(6, 8, 4, 8, precision_bits=bits).coefficients == [
+            2, 1, 0, -2
+        ]
+
+
 def test_lattice_embed_magnitude_mode():
     emb = analysis.lattice_embed(30, 100, 5, 4, mode="magnitude")
     assert emb.coefficients == [3, 3, 3, 3, 3]
