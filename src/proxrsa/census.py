@@ -5,13 +5,20 @@ consecutive prime pairs (p, next prime) and census_progression counts all
 pairs p < q in prescribed residue classes.  Both decide the proximity
 predicate |q - p| < gamma*sqrt(p*q) in exact integer arithmetic.
 
+Both read the primes of the range from one segment stream (_segments):
+one list of base primes up to sqrt(hi), then one numpy sieve array per
+_SEGMENT block, so the range is never held as Python ints.
+
 For fixed p the predicate holds exactly for 0 < q - p <= G(p), and the
-threshold gap G(p) is an integer square root away (_max_gap), growing
-with p.  So neither census tests pairs one by one: census_pairs counts
-the gaps of each sieve segment against G at the segment's two ends and
-tests only the gaps between those two thresholds, and census_progression
-counts each p's partners with two bisections.  Both cost O(n log n) in
-the n primes of the range and stay exact.
+threshold gap G(p) is an integer square root away (_max_gap), never
+falling as p grows.  So neither census tests pairs one by one.
+census_pairs finds, per segment, the first p whose G reaches the
+segment's widest gap; every pair from there on passes, and before it
+only the gaps between G(first) and G(last) are tested.
+census_progression keeps the class-a primes, their exact limits
+p + G(p) as int64 and the class-b primes, and after the last segment
+counts each p's partners in (p, p + G(p)] with two np.searchsorted
+calls.  Both cost O(n log n) in the n primes of the range and stay exact.
 
 reference_density is gamma * x / ln(x)^2 at x = range_hi with the natural
 logarithm (the analytic convention); the ratio column is reported for
@@ -22,13 +29,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import ParameterError, RangeTooLargeError
-from .keygen import default_gamma
-from .numerics import _base_primes, _segment_primes, sieve_range
+from .numerics import _base_primes, _segment_primes
 
 _SEGMENT = 1 << 24
 _MAX_HI = 1 << 40
@@ -52,21 +58,8 @@ class CensusReport:
     primes_in_class_b: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "range_lo": self.range_lo,
-            "range_hi": self.range_hi,
-            "gamma": f"{self.gamma.numerator}/{self.gamma.denominator}",
-            "prime_count": self.prime_count,
-            "pair_count": self.pair_count,
-            "empirical_density": self.empirical_density,
-            "reference_density": self.reference_density,
-            "ratio": self.ratio,
-            "modulus": self.modulus,
-            "residue_a": self.residue_a,
-            "residue_b": self.residue_b,
-            "primes_in_class_a": self.primes_in_class_a,
-            "primes_in_class_b": self.primes_in_class_b,
-        }
+        """The report's fields in schema order, gamma written as "num/den"."""
+        return dict(asdict(self), gamma=f"{self.gamma.numerator}/{self.gamma.denominator}")
 
 
 def _check_range(lo: int, hi: int) -> None:
@@ -106,42 +99,16 @@ def _max_gap(p: int, gamma: Fraction) -> int:
     return g
 
 
-def _reference(gamma: Fraction, hi: int) -> float:
-    if hi < 3:
-        return 0.0
-    return float(gamma) * hi / math.log(hi) ** 2
-
-
-def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
-    """Count consecutive prime pairs in [lo, hi] passing the proximity test."""
-    _check_range(lo, hi)
-    _check_gamma(gamma)
-
-    import numpy as np
-
+def _segments(lo: int, hi: int):
+    """The primes in [lo, hi] as ascending numpy int64 arrays, one per
+    _SEGMENT block (possibly empty), from one list of base primes."""
     base = _base_primes(hi)
-    prime_count = 0
-    pair_count = 0
-    prev: Optional[int] = None
     for start in range(lo, hi + 1, _SEGMENT):
-        primes = _segment_primes(start, min(start + _SEGMENT - 1, hi), base)
-        if not len(primes):
-            continue
-        first, last = int(primes[0]), int(primes[-1])
-        if prev is not None and _proximate(prev, first, gamma):
-            pair_count += 1
-        # Every gap up to G(first) passes, every gap beyond G(last) fails.
-        gaps = np.diff(primes)
-        g_first, g_last = _max_gap(first, gamma), _max_gap(last, gamma)
-        pair_count += int(np.count_nonzero(gaps <= g_first))
-        between = np.flatnonzero((gaps > g_first) & (gaps <= g_last))
-        for p, q in zip(primes[between].tolist(), primes[between + 1].tolist()):
-            if _proximate(p, q, gamma):
-                pair_count += 1
-        prime_count += len(primes)
-        prev = last
+        yield _segment_primes(start, min(start + _SEGMENT - 1, hi), base)
 
-    reference = _reference(gamma, hi)
+
+def _report(lo: int, hi: int, gamma: Fraction, prime_count: int, pair_count: int, **classes) -> CensusReport:
+    reference = float(gamma) * hi / math.log(hi) ** 2 if hi >= 3 else 0.0
     return CensusReport(
         range_lo=lo,
         range_hi=hi,
@@ -151,7 +118,43 @@ def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
         empirical_density=pair_count / (hi - lo + 1),
         reference_density=reference,
         ratio=pair_count / reference if reference > 0 else None,
+        **classes,
     )
+
+
+def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
+    """Count consecutive prime pairs in [lo, hi] passing the proximity test."""
+    _check_range(lo, hi)
+    _check_gamma(gamma)
+
+    import numpy as np
+
+    prime_count = 0
+    pair_count = 0
+    prev: Optional[int] = None
+    for primes in _segments(lo, hi):
+        if not len(primes):
+            continue
+        first, last = int(primes[0]), int(primes[-1])
+        if prev is not None and _proximate(prev, first, gamma):
+            pair_count += 1
+        # G never falls as p grows, so every pair from the first p whose G
+        # reaches the widest gap on passes.  Before that cut, every gap up to
+        # G(first) passes and every gap beyond G(last) fails.
+        gaps = np.diff(primes)
+        cut = bisect.bisect_left(
+            primes, int(gaps.max(initial=0)), hi=len(gaps), key=lambda p: _max_gap(int(p), gamma)
+        )
+        head = gaps[:cut]
+        g_first, g_last = _max_gap(first, gamma), _max_gap(last, gamma)
+        pair_count += len(gaps) - cut + int(np.count_nonzero(head <= g_first))
+        between = np.flatnonzero((head > g_first) & (head <= g_last))
+        for p, q in zip(primes[between].tolist(), primes[between + 1].tolist()):
+            if _proximate(p, q, gamma):
+                pair_count += 1
+        prime_count += len(primes)
+        prev = last
+    return _report(lo, hi, gamma, prime_count, pair_count)
 
 
 def census_progression(
@@ -169,59 +172,28 @@ def census_progression(
     if hi - lo > _MAX_PROGRESSION_SPAN:
         raise RangeTooLargeError("progression census range capped at 2^26")
 
-    primes = sieve_range(lo, hi)
-    in_a = [p for p in primes if p % modulus == res_a % modulus]
-    in_b = [p for p in primes if p % modulus == res_b % modulus]
+    import numpy as np
+
+    res_a, res_b = res_a % modulus, res_b % modulus
+    # Every prime is at most hi, so reducing it modulo hi + 1 instead of a
+    # larger modulus changes nothing and keeps the divisor within int64.
+    divisor = min(modulus, hi + 1)
+    prime_count = 0
+    in_a, in_b, limits = [], [], []
+    for primes in _segments(lo, hi):
+        prime_count += len(primes)
+        residues = primes % divisor
+        in_a.append(primes[residues == res_a])
+        in_b.append(primes[residues == res_b])
+        # p + G(p) < 5.83*p < 2^63 for gamma < 2, so the exact limit fits.
+        limits.append(np.fromiter((p + _max_gap(p, gamma) for p in in_a[-1].tolist()), np.int64, len(in_a[-1])))
+    in_a, in_b = np.concatenate(in_a), np.concatenate(in_b)
 
     # The partners of p in class b are the q in (p, p + G(p)].
-    pair_count = 0
-    for p in in_a:
-        pair_count += bisect.bisect_right(in_b, p + _max_gap(p, gamma)) - bisect.bisect_right(in_b, p)
-
-    reference = _reference(gamma, hi)
-    return CensusReport(
-        range_lo=lo,
-        range_hi=hi,
-        gamma=gamma,
-        prime_count=len(primes),
-        pair_count=pair_count,
-        empirical_density=pair_count / (hi - lo + 1),
-        reference_density=reference,
-        ratio=pair_count / reference if reference > 0 else None,
-        modulus=modulus,
-        residue_a=res_a % modulus,
-        residue_b=res_b % modulus,
-        primes_in_class_a=len(in_a),
-        primes_in_class_b=len(in_b),
+    pair_count = int(np.searchsorted(in_b, np.concatenate(limits), side="right").sum())
+    pair_count -= int(np.searchsorted(in_b, in_a, side="right").sum())
+    return _report(
+        lo, hi, gamma, prime_count, pair_count,
+        modulus=modulus, residue_a=res_a, residue_b=res_b,
+        primes_in_class_a=len(in_a), primes_in_class_b=len(in_b),
     )
-
-
-GAMMA_RULES = ("fixed", "sqrt_eps", "log_over_sqrt")
-
-
-def gamma_for_rule(rule: str, k: int, fixed: Optional[Fraction], epsilon: float) -> Fraction:
-    if rule == "fixed":
-        if fixed is None:
-            raise ParameterError("fixed gamma rule needs a gamma value")
-        return fixed
-    if rule == "sqrt_eps":
-        return default_gamma(k, epsilon)
-    if rule == "log_over_sqrt":
-        return Fraction(math.log(k) / math.sqrt(k)).limit_denominator(1 << 32)
-    raise ParameterError(f"unknown gamma rule {rule!r}; choose from {GAMMA_RULES}")
-
-
-def density_sweep(
-    bit_sizes: list[int],
-    gamma_rule: str = "fixed",
-    fixed_gamma: Optional[Fraction] = None,
-    epsilon: float = 0.1,
-) -> list[CensusReport]:
-    """One census_pairs report per bit size b over [2^(b-1), 2^b]."""
-    reports = []
-    for b in bit_sizes:
-        if not 2 <= b <= 40:
-            raise ParameterError(f"bit sizes must lie in [2, 40]: {b}")
-        gamma = gamma_for_rule(gamma_rule, b, fixed_gamma, epsilon)
-        reports.append(census_pairs(1 << (b - 1), 1 << b, gamma))
-    return reports

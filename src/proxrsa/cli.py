@@ -336,23 +336,6 @@ def _cmd_shor_compare(args) -> int:
     return EXIT_OK
 
 
-CENSUS_CSV_COLUMNS = [
-    "range_lo",
-    "range_hi",
-    "gamma",
-    "prime_count",
-    "pair_count",
-    "empirical_density",
-    "reference_density",
-    "ratio",
-    "modulus",
-    "residue_a",
-    "residue_b",
-    "primes_in_class_a",
-    "primes_in_class_b",
-]
-
-
 def _cmd_census(args) -> int:
     gamma = keyfile.gamma_from_str(args.gamma)
     has_mod = args.mod is not None
@@ -362,14 +345,14 @@ def _cmd_census(args) -> int:
         report = census.census_progression(args.lo, args.hi, gamma, args.mod, args.res_a, args.res_b)
     else:
         report = census.census_pairs(args.lo, args.hi, gamma)
+    doc = report.to_dict()
     if args.format == "json":
-        _emit(_json_text(report.to_dict()), args.out)
+        _emit(_json_text(doc), args.out)
     else:
-        doc = report.to_dict()
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(CENSUS_CSV_COLUMNS)
-        writer.writerow([doc[c] for c in CENSUS_CSV_COLUMNS])
+        writer.writerow(doc)
+        writer.writerow(doc.values())
         _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

@@ -54,11 +54,12 @@ def cli_process():
 
 
 _PROBE = """
-import json, resource, sys
+import json, sys
 from proxrsa import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-report = {"codes": codes, "numpy": "numpy" in sys.modules,
-          "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
+with open("/proc/self/status") as status:
+    hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+report = {"codes": codes, "numpy": "numpy" in sys.modules, "vmhwm_kb": hwm}
 print(json.dumps(report), file=sys.stderr)
 """
 
@@ -68,7 +69,9 @@ def cli_probe():
     """Run `cli.main(argv)` for each argv in turn in one fresh interpreter.
 
     Returns (stdout, report); report holds the exit codes, whether numpy
-    was imported, and the interpreter's peak RSS in kB (ru_maxrss).
+    was imported, and the interpreter's own peak RSS in kB (VmHWM).  Unlike
+    ru_maxrss, VmHWM does not start from the high-water mark of the parent
+    process that started the child.
     """
 
     def run(argvs):

@@ -116,8 +116,11 @@ def test_census_crosses_segment_boundaries_consistently():
 
 
 def test_census_gamma_domain():
-    with pytest.raises(ParameterError):
-        census.census_pairs(2, 100, Fraction(5, 2))
+    for gamma in (Fraction(0), Fraction(2), Fraction(5, 2)):
+        with pytest.raises(ParameterError):
+            census.census_pairs(2, 100, gamma)
+        with pytest.raises(ParameterError):
+            census.census_progression(2, 100, gamma, 6, 1, 5)
     with pytest.raises(ParameterError):
         census.census_pairs(100, 2, Fraction(1, 2))
     with pytest.raises(RangeTooLargeError):
@@ -151,7 +154,8 @@ def test_progression_brute_force():
 
 
 def test_progression_more_ranges():
-    for lo, hi, m, a, b in [(2, 300, 5, 2, 3), (50, 800, 10, 3, 7), (2, 1000, 7, 1, 6)]:
+    cases = [(2, 300, 5, 2, 3), (50, 800, 10, 3, 7), (2, 1000, 7, 1, 6), (2, 7, 3**70, 5, 3**70 + 7)]
+    for lo, hi, m, a, b in cases:
         gamma = Fraction(2, 3)
         report = census.census_progression(lo, hi, gamma, m, a, b)
         assert report.pair_count == naive_progression(lo, hi, gamma, m, a, b)
@@ -166,34 +170,6 @@ def test_progression_modulus_one_is_all_pairs():
 def test_progression_rejects_shared_factor():
     with pytest.raises(ParameterError):
         census.census_progression(2, 100, Fraction(1, 2), 6, 2, 5)
-
-
-def test_density_sweep_rows_and_rules():
-    rows = census.density_sweep(list(range(10, 17)), "log_over_sqrt")
-    assert len(rows) == 7
-    for b, row in zip(range(10, 17), rows):
-        assert row.range_lo == 1 << (b - 1)
-        assert row.range_hi == 1 << b
-        assert abs(float(row.gamma) - math.log(b) / math.sqrt(b)) < 1e-6
-
-
-def test_density_sweep_fixed_gamma_positive_counts():
-    rows = census.density_sweep([10, 12], "fixed", Fraction(1, 2))
-    for row in rows:
-        assert row.pair_count > 0
-        assert row.ratio > 0
-
-
-def test_density_sweep_sqrt_rule():
-    rows = census.density_sweep([16], "sqrt_eps", epsilon=0.1)
-    assert abs(float(rows[0].gamma) - 16 ** (-0.4)) < 1e-6
-
-
-def test_density_sweep_rejects_out_of_band_sizes():
-    with pytest.raises(ParameterError):
-        census.density_sweep([44], "fixed", Fraction(1, 2))
-    with pytest.raises(ParameterError):
-        census.density_sweep([12], "nope", Fraction(1, 2))
 
 
 def test_census_pairs_across_small_segments():
@@ -211,6 +187,16 @@ def test_census_pairs_across_small_segments():
                 report = census.census_pairs(lo, hi, gamma)
                 assert (report.pair_count, report.prime_count) == want, (segment, gamma)
     assert {0, 1} <= seen
+
+
+def test_census_pairs_tests_few_pairs_where_the_threshold_grows_fast():
+    """Over 2..2^24 at gamma = 1/1000, G(p) runs from 0 to about 16800 in one
+    segment; a band between G(first) and G(last) held 1,077,871 pairs."""
+    lo, hi, gamma = 2, 1 << 24, Fraction(1, 1000)
+    with mock.patch.object(census, "_proximate", wraps=census._proximate) as counted:
+        report = census.census_pairs(lo, hi, gamma)
+    assert counted.call_count < 50_000
+    assert report.pair_count == loop_pairs(lo, hi, gamma)
 
 
 @given(st.data())
@@ -286,13 +272,15 @@ def test_max_gap_is_the_last_passing_gap(p, gamma):
     assert not close(p, p + g + 1, gamma)
 
 
-def test_progression_census_over_the_capped_span(tmp_path, cli_process):
-    """The 2^26 cap is reachable: the pair-by-pair scan took over 300 s."""
+def test_progression_census_over_the_capped_span(tmp_path, cli_process, cli_probe):
+    """The 2^26 cap is reachable within 120 s (the pair-by-pair scan took
+    over 300 s) and below 150 MB (the whole range as Python ints took 189 MB)."""
     lo, hi = 1 << 30, (1 << 30) + (1 << 26)
     out = tmp_path / "census.json"
     flags = ["--gamma", "1/2", "--mod", "6", "--a", "1", "--b", "5"]
-    result = cli_process(["census", "--lo", str(lo), "--hi", str(hi), *flags, "-o", str(out)], timeout=120)
-    assert result.returncode == 0, result.stderr
+    _, report = cli_probe([["census", "--lo", str(lo), "--hi", str(hi), *flags, "-o", str(out)]])
+    assert report["codes"] == [cli.EXIT_OK]
+    assert report["vmhwm_kb"] < 150 * 1024
     assert json.loads(out.read_text())["prime_count"] > 3_000_000
     result = cli_process(["census", "--lo", str(lo), "--hi", str(hi + 1), *flags], timeout=60)
     assert result.returncode == cli.EXIT_BAD_PARAMS, result.stderr

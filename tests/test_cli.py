@@ -184,7 +184,7 @@ def test_shor_sim_single_base_skips_the_dense_vector(cli_probe):
     out, report = cli_probe([["shor-sim", "--N", "2047", "--a", "2"]])
     assert report["codes"] == [cli.EXIT_OK]
     assert out == (DATA / "shor_sim_2047_a2.json").read_text()
-    assert report["maxrss_kb"] < 100 * 1024
+    assert report["vmhwm_kb"] < 100 * 1024
 
 
 def test_key_commands_never_import_numpy(tmp_path, cli_probe):
@@ -239,6 +239,19 @@ def test_census_csv(capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert rows[0]["pair_count"] == "6"
+
+
+def test_census_csv_is_the_json_in_schema_order(capsys):
+    schema = json.loads((pathlib.Path(__file__).resolve().parents[1] / "docs" / "census-schema.json").read_text())
+    for flags in ([], ["--mod", "6", "--a", "1", "--b", "5"]):
+        argv = ["census", "--lo", "2", "--hi", "100", "--gamma", "1/2", *flags]
+        _, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(out.splitlines())
+        assert header == schema["required"]
+        assert row == ["" if doc[k] is None else str(doc[k]) for k in header]
 
 
 def test_census_progression_flags_must_travel_together(capsys):
