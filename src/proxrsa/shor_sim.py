@@ -26,8 +26,23 @@ that is 2*|y*r - c*Q| <= r: only a y within 1/2 of some c*Q/r (0 <= c < r)
 can succeed.  Each c has one such y, or two at an exact tie, so about r
 candidates are scored with the closed form, in increasing y.  That sum
 equals the full sum over all Q outcomes, which keeps Q = N^2 tractable at
-any toy size.  numpy is loaded only by measurement_distribution (the
-full vector) and by the prime sieve behind compare_moduli.
+any toy size.
+
+When Q >= N^2 (the default Q), no continued fraction runs: the candidates
+for c recover rhat = r/gcd(c, r), the denominator of c/r in lowest terms,
+or nothing when that is 1 or not below N (Hardy & Wright, Thm. 184; Shor
+1997, Sec. 5).  If rhat < N, |y/Q - c/r| <= 1/(2Q) < 1/(2 rhat^2), so by
+Legendre's theorem c/r is a convergent of y/Q; any other fraction h/k
+with k < N lies at least 1/(k*rhat) > 1/N^2 >= 1/Q from c/r, so it cannot
+also be within 1/(2Q) of y/Q, and none of the earlier convergents passes
+the test.  If rhat >= N (only for an r that is no order mod N), a
+denominator k < N the continued fraction may still return does not
+divide r: h/k would be a second multiple of 1/r within 1/Q of c/r, so
+it does not lift either.  A user's Q below N^2 keeps recover_period.  The
+terms and their order are the same either way, so every float is too.
+
+numpy is loaded only by measurement_distribution (the full vector);
+compare_moduli takes its prime band, below 2^12, from the bytearray sieve.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .entropy import proximity_delta, proximity_holds_exact
 from .errors import NumericalError, ParameterError
-from .numerics import SeedStream, euler_phi, sieve_range, stream_uint
+from .numerics import SeedStream, _simple_sieve, euler_phi, prime_factors, stream_uint
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,19 +101,39 @@ class ComparisonReport:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Smallest r >= 1 with a^r == 1 (mod n), by iterated multiplication."""
+    """Smallest r >= 1 with a^r == 1 (mod n).
+
+    The order divides the Carmichael exponent lambda(n), so it is lambda(n)
+    with every prime factor l removed while a^(r/l) == 1 (Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 1.4.3).
+    """
     if n < 2 or n > MAX_TOY_MODULUS:
         raise ParameterError(f"modulus must lie in [2, 2^20]: {n}")
     if not 1 <= a < n:
         raise ParameterError(f"base must satisfy 1 <= a < n: {a}")
     if math.gcd(a, n) != 1:
         raise ParameterError(f"gcd({a}, {n}) != 1")
-    x = a % n
-    r = 1
-    while x != 1:
-        x = x * a % n
-        r += 1
+    r = _carmichael(n)
+    for ell in prime_factors(r):
+        while r % ell == 0 and pow(a, r // ell, n) == 1:
+            r //= ell
     return r
+
+
+def _carmichael(n: int) -> int:
+    """Carmichael's lambda(n): the lcm of lambda(p^k) over the prime powers of n."""
+    lam = 1
+    for p in prime_factors(n):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if p == 2:
+            part = 1 << (k - 2 if k >= 3 else k - 1)  # 1, 2, then 2^(k-2)
+        else:
+            part = p ** (k - 1) * (p - 1)
+        lam = math.lcm(lam, part)
+    return lam
 
 
 def default_q(n: int) -> int:
@@ -128,27 +163,26 @@ def _check_q(q_size: int) -> None:
         raise ParameterError(f"Q must be a power of two: {q_size}")
 
 
-def _abs_sin_pi(v: int, q_size: int) -> float:
-    """|sin(pi * v / Q)| via integer folding into [0, Q/2].
-
-    |sin(pi*x)| has period 1 and is symmetric about 1/2, so the argument
-    never leaves [0, pi/2] and float sin keeps full relative precision
-    even when Q is 2^40.
-    """
-    v %= q_size
-    v = min(v, q_size - v)
-    return math.sin(math.pi * v / q_size)
-
-
 def _prob_at(y: int, r: int, q_size: int) -> float:
-    """Closed-form probability of measuring y; exact in the degenerate branches."""
+    """Closed-form probability of measuring y; exact in the degenerate branches.
+
+    Both sine arguments are folded into [0, Q/2] in integers: |sin(pi*x)|
+    has period 1 and is symmetric about 1/2, so the argument never leaves
+    [0, pi/2] and float sin keeps full relative precision even when Q is
+    2^40.
+    """
     m = -(-q_size // r)
     t = r * y % q_size
     if t == 0:
         return m / q_size
-    if m * t % q_size == 0:
+    top = m * t % q_size
+    if top == 0:
         return 0.0
-    ratio = _abs_sin_pi(m * t, q_size) / _abs_sin_pi(t, q_size)
+    if 2 * top > q_size:
+        top = q_size - top
+    if 2 * t > q_size:
+        t = q_size - t
+    ratio = math.sin(math.pi * top / q_size) / math.sin(math.pi * t / q_size)
     return ratio * ratio / (q_size * m)
 
 
@@ -213,14 +247,18 @@ def recover_period(y: int, q_size: int, n: int) -> Optional[int]:
     return None
 
 
-def _success_candidates(r: int, q_size: int):
-    """Every y with 2*|y*r - c*Q| <= r for some c in [0, r), in increasing order."""
+def _candidate_groups(r: int, q_size: int):
+    """(c, ys) for c in [0, r): the one or two y with 2*|y*r - c*Q| <= r, ascending."""
     for c in range(r):
         y, rem = divmod(c * q_size, r)
-        if 2 * rem <= r:
-            yield y
-        if 2 * rem >= r:
-            yield y + 1
+        twice = 2 * rem
+        yield c, ((y,) if twice < r else (y + 1,) if twice > r else (y, y + 1))
+
+
+def _success_candidates(r: int, q_size: int):
+    """Every y with 2*|y*r - c*Q| <= r for some c in [0, r), in increasing order."""
+    for _, ys in _candidate_groups(r, q_size):
+        yield from ys
 
 
 def _lifts_to(r_hat: int, r: int, n: int) -> bool:
@@ -240,20 +278,29 @@ def success_probabilities(n: int, r: int, q_size: int) -> tuple[float, float]:
     Plain counts y whose recovered denominator rhat equals r; refined also
     counts rhat | r with r/rhat <= floor(log2 n), the multiples the
     small-factor refinement lifts to r (module docstring).  Both sums add
-    their terms in increasing y.
+    their terms in increasing y.  rhat comes from the closed form
+    r/gcd(c, r) when Q >= n^2, and from recover_period otherwise.
     """
     _check_q(q_size)
     if not 1 <= r <= q_size:
         raise ParameterError(f"Q = {q_size} cannot resolve period {r}")
+    closed = q_size >= n * n
     plain = refined = 0.0
-    for y in _success_candidates(r, q_size):
-        r_hat = recover_period(y, q_size, n)
-        if r_hat is None or not _lifts_to(r_hat, r, n):
-            continue
-        prob = _prob_at(y, r, q_size)
-        refined += prob
-        if r_hat == r:
-            plain += prob
+    for c, ys in _candidate_groups(r, q_size):
+        if closed:
+            # Every candidate for c recovers c/r in lowest terms (module docstring).
+            r_hat = r // math.gcd(c, r)
+            if not 1 < r_hat < n or not _lifts_to(r_hat, r, n):
+                continue
+        for y in ys:
+            if not closed:
+                r_hat = recover_period(y, q_size, n)
+                if r_hat is None or not _lifts_to(r_hat, r, n):
+                    continue
+            prob = _prob_at(y, r, q_size)
+            refined += prob
+            if r_hat == r:
+                plain += prob
     return plain, refined
 
 
@@ -345,7 +392,8 @@ def compare_moduli(
     # Population: every pair from a factor-8 band of primes whose product
     # has exactly bit_size bits, so both balanced and lopsided pairs occur.
     half = bit_size // 2
-    primes = sieve_range(1 << (half - 1), 1 << (half + 2))
+    lo = 1 << (half - 1)
+    primes = [p for p in _simple_sieve(1 << (half + 2)) if p >= lo]
     candidates = []
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:

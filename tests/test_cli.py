@@ -201,6 +201,17 @@ def test_key_commands_never_import_numpy(tmp_path, cli_probe):
     assert not report["numpy"]
 
 
+def test_shor_compare_never_imports_numpy(cli_probe):
+    _, report = cli_probe(
+        [
+            ["shor-compare", "--bits", "12", "--pairs", "8", "--gamma", "0.35", "--bases", "4"],
+            ["shor-compare", "--bits", "16", "--pairs", "2", "--gamma", "0.2", "--bases", "1"],
+        ]
+    )
+    assert report["codes"] == [cli.EXIT_OK] * 2
+    assert not report["numpy"]
+
+
 def test_shor_sim_sweep(capsys):
     code, out, _ = run(capsys, "shor-sim", "--N", "21", "--sweep", "5")
     assert code == 0

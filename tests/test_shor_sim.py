@@ -55,6 +55,30 @@ def dense_success(n, a, q_size, refine):
     return total
 
 
+def order_by_multiplication(a, n):
+    """Smallest r >= 1 with a^r == 1 (mod n), by iterated multiplication."""
+    x = a % n
+    r = 1
+    while x != 1:
+        x = x * a % n
+        r += 1
+    return r
+
+
+def success_by_continued_fraction(n, r, q_size):
+    """(plain, refined) with one continued fraction per candidate y, in increasing y."""
+    plain = refined = 0.0
+    for y in shor_sim._success_candidates(r, q_size):
+        r_hat = shor_sim.recover_period(y, q_size, n)
+        if r_hat is None or not shor_sim._lifts_to(r_hat, r, n):
+            continue
+        prob = shor_sim._prob_at(y, r, q_size)
+        refined += prob
+        if r_hat == r:
+            plain += prob
+    return plain, refined
+
+
 # --- multiplicative order ---------------------------------------------------
 
 
@@ -95,6 +119,34 @@ def test_order_correctness_exhaustive_to_one_thousand():
             assert pow(a, r, n) == 1
             for d in _prime_divisors(r):
                 assert pow(a, r // d, n) != 1, (a, n, r, d)
+
+
+def test_order_matches_multiplication_loop_below_two_thousand(wall_clock):
+    """Every base of every N < 2000 against the multiplication loop.
+
+    One loop per cyclic subgroup: a^i has order r/gcd(i, r), so a walk from
+    a gives the order of every power of a without walking it again.
+    """
+    with wall_clock(120):
+        for n in range(2, 2000):
+            walked = {}
+            for a in range(1, n):
+                if math.gcd(a, n) != 1:
+                    continue
+                if a not in walked:
+                    r = order_by_multiplication(a, n)
+                    x = 1
+                    for i in range(1, r + 1):
+                        x = x * a % n
+                        walked.setdefault(x, r // math.gcd(i, r))
+                assert shor_sim.multiplicative_order(a, n) == walked[a], (a, n)
+
+
+@pytest.mark.parametrize("n", [1 << 20, (1 << 20) - 1, 1048573, 1038439, 1000871, 781447])
+def test_order_matches_multiplication_loop_at_twenty_bits(n):
+    for a in (2, 3, 5, 7, 11, 13, n - 2):
+        if math.gcd(a, n) == 1:
+            assert shor_sim.multiplicative_order(a, n) == order_by_multiplication(a, n), (a, n)
 
 
 # --- measurement distribution -----------------------------------------------
@@ -264,6 +316,24 @@ def test_success_candidates_are_the_half_windows():
             assert list(shor_sim._success_candidates(r, q_size)) == want, (r, q_size)
 
 
+@given(st.integers(2, 1 << 12), st.integers(0, 2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_recovery_equals_the_continued_fraction(n, doublings, data):
+    """Q >= N^2: the closed-form verdicts give the same float tuple as one
+    continued fraction per candidate, for any r up to 3N, orders or not."""
+    q_size = shor_sim.default_q(n) << doublings
+    r = data.draw(st.integers(1, min(q_size, 3 * n)))
+    assert shor_sim.success_probabilities(n, r, q_size) == success_by_continued_fraction(
+        n, r, q_size
+    )
+
+
+def test_closed_form_at_q_equal_to_n_squared():
+    assert shor_sim.default_q(4) == 16
+    for r in range(1, 13):
+        assert shor_sim.success_probabilities(4, r, 16) == success_by_continued_fraction(4, r, 16)
+
+
 @given(st.integers(5, 5000), st.data())
 @settings(max_examples=300, deadline=None)
 def test_refinement_divisibility_rule_matches_pow_loop(n, data):
@@ -395,6 +465,39 @@ def test_shor_compare_csv_is_pinned(name, argv, capsys):
     """CSV bytes recorded before the one-pass rework; every float must replay."""
     assert cli.main(["shor-compare", "--gamma", "0.35", *argv]) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+def _count_recover_period(monkeypatch):
+    calls = []
+    original = shor_sim.recover_period
+    monkeypatch.setattr(
+        shor_sim, "recover_period", lambda *args: calls.append(args) or original(*args)
+    )
+    return calls
+
+
+def test_no_continued_fraction_at_default_q(monkeypatch):
+    calls = _count_recover_period(monkeypatch)
+    shor_sim.compare_moduli(12, 2, 0.35, SeedStream(bytes(32)), bases_per_modulus=4)
+    assert calls == []
+
+
+def test_q_below_n_squared_keeps_the_continued_fraction(monkeypatch, capsys):
+    calls = _count_recover_period(monkeypatch)
+    argv = ["--bits", "10", "--pairs", "3", "--bases", "5", "--Q", "1024"]
+    assert cli.main(["shor-compare", "--gamma", "0.35", *argv]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "shor_compare_10_q1024.csv").read_bytes()
+    assert len(calls) >= 1
+
+
+def test_shor_compare_at_twenty_bits_is_pinned(tmp_path, capsys, wall_clock):
+    """Recorded with one continued fraction per candidate; the closed form must replay it."""
+    out_csv = tmp_path / "cmp.csv"
+    argv = ["--bits", "20", "--pairs", "2", "--gamma", "0.2", "--bases", "2", "--seed", "00" * 32]
+    with wall_clock(60):
+        assert cli.main(["shor-compare", *argv, "-o", str(out_csv)]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "shor_compare_20.json").read_bytes()
+    assert out_csv.read_bytes() == (DATA / "shor_compare_20.csv").read_bytes()
 
 
 def test_draw_bases_replays_recorded_draws(wall_clock):
