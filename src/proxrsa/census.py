@@ -89,14 +89,14 @@ def _max_gap(p: int, gamma: Fraction) -> int:
     which is linear in p.  b + sqrt(D) lies in [b + isqrt(D), b + isqrt(D) + 1)
     and no multiple of 2a lies strictly inside that, so flooring the square
     root first still gives floor(r).  G(p) is floor(r), or one less when r
-    is an integer, and _proximate settles which.
+    is an integer: when D is a perfect square s^2 and 2a divides b + s.
     """
     a = gamma.denominator * gamma.denominator
     b = gamma.numerator * gamma.numerator * p
-    g = (b + math.isqrt(b * b + 4 * a * b * p)) // (2 * a)
-    if g > 0 and not _proximate(p, p + g, gamma):
-        return g - 1
-    return g
+    d = b * b + 4 * a * b * p
+    s = math.isqrt(d)
+    g, rem = divmod(b + s, 2 * a)
+    return g - 1 if s * s == d and rem == 0 else g
 
 
 def _segments(lo: int, hi: int):

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -60,12 +63,6 @@ def _parse_seed(text: Optional[str]) -> bytes:
     return seed
 
 
-def _parse_gamma(text: Optional[str]) -> Optional[Fraction]:
-    if text is None:
-        return None
-    return keyfile.gamma_from_str(text)
-
-
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -76,7 +73,13 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return keyfile.document_to_bytes(doc).decode("utf-8")
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +162,7 @@ def _keygen_params(args) -> KeyGenParams:
     return KeyGenParams(
         k=args.k,
         seed=_parse_seed(args.seed),
-        gamma=_parse_gamma(args.gamma),
+        gamma=None if args.gamma is None else keyfile.gamma_from_str(args.gamma),
         beta=args.beta,
         epsilon=args.epsilon,
         ell=args.ell,
@@ -169,31 +172,21 @@ def _keygen_params(args) -> KeyGenParams:
     )
 
 
-def _write_key(kp, out_path: Optional[str]) -> None:
-    if out_path is None:
-        data = keyfile.document_to_bytes(keyfile.keypair_to_document(kp))
-        sys.stdout.write(data.decode("utf-8"))
+def _cmd_keygen(args) -> int:
+    params = _keygen_params(args)
+    if args.command == "keygen-multi":
+        kp = generate_multiprime(params, args.m)
+    elif args.command == "keygen-compat":
+        kp = generate_compatible(params, args.shift)
     else:
-        keyfile.write_key_file(out_path, kp)
+        kp = generate_keypair(params)
+    _emit(_json_text(keyfile.keypair_to_document(kp)), args.out)
+    if args.out is not None:
         print(
-            f"note: {out_path} contains private key material; "
+            f"note: {args.out} contains private key material; "
             "restrict its permissions (e.g. chmod 600)",
             file=sys.stderr,
         )
-
-
-def _cmd_keygen(args) -> int:
-    _write_key(generate_keypair(_keygen_params(args)), args.out)
-    return EXIT_OK
-
-
-def _cmd_keygen_multi(args) -> int:
-    _write_key(generate_multiprime(_keygen_params(args), args.m), args.out)
-    return EXIT_OK
-
-
-def _cmd_keygen_compat(args) -> int:
-    _write_key(generate_compatible(_keygen_params(args), args.shift), args.out)
     return EXIT_OK
 
 
@@ -209,14 +202,14 @@ def _cmd_verify(args) -> int:
 
 
 def _closest_pair(primes: list[int]) -> list[int]:
-    best = None
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            p, q = primes[i], primes[j]
-            # compare |p-q|/sqrt(pq) without floats: (p-q)^2 * p'q' vs ...
-            if best is None or (p - q) ** 2 * best[0] * best[1] < (best[0] - best[1]) ** 2 * p * q:
-                best = (p, q)
-    return list(best)
+    """The first pair with the smallest (p - q)^2 / (p*q), compared exactly;
+    a pair with a 0 entry (a malformed key file) ranks last."""
+
+    def spread(pair):
+        p, q = pair
+        return Fraction((p - q) ** 2, p * q) if p * q else math.inf
+
+    return list(min(itertools.combinations(primes, 2), key=spread))
 
 
 def _cmd_analyze(args) -> int:
@@ -303,35 +296,16 @@ def _cmd_shor_compare(args) -> int:
     report = shor_sim.compare_moduli(
         args.bits, args.pairs, args.gamma, stream, args.q_size, args.bases
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(COMPARE_CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.group,
-                row.n,
-                row.p,
-                row.q,
-                repr(row.delta),
-                row.angular_separation_num,
-                row.angular_separation_den,
-                repr(row.mean_success_prob),
-                repr(row.mean_success_prob_refined),
-            ]
-        )
-    csv_text = buf.getvalue()
-    summary = {
-        "bit_size": report.bit_size,
-        "gamma_close": report.gamma_close,
-        "bases_per_modulus": report.bases_per_modulus,
-        "rows": len(report.rows),
-        "groups": report.group_summary(),
-    }
-    if args.out is None:
-        sys.stdout.write(csv_text)
-    else:
-        keyfile.atomic_write_bytes(args.out, csv_text.encode("utf-8"))
+    rows = [COMPARE_CSV_COLUMNS, *map(dataclasses.astuple, report.rows)]
+    _emit(_csv_text(rows), args.out)
+    if args.out is not None:
+        summary = {
+            "bit_size": report.bit_size,
+            "gamma_close": report.gamma_close,
+            "bases_per_modulus": report.bases_per_modulus,
+            "rows": len(report.rows),
+            "groups": report.group_summary(),
+        }
         sys.stdout.write(_json_text(summary))
     return EXIT_OK
 
@@ -346,21 +320,14 @@ def _cmd_census(args) -> int:
     else:
         report = census.census_pairs(args.lo, args.hi, gamma)
     doc = report.to_dict()
-    if args.format == "json":
-        _emit(_json_text(doc), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(doc)
-        writer.writerow(doc.values())
-        _emit(buf.getvalue(), args.out)
+    _emit(_json_text(doc) if args.format == "json" else _csv_text([doc, doc.values()]), args.out)
     return EXIT_OK
 
 
 _COMMANDS = {
     "keygen": _cmd_keygen,
-    "keygen-multi": _cmd_keygen_multi,
-    "keygen-compat": _cmd_keygen_compat,
+    "keygen-multi": _cmd_keygen,
+    "keygen-compat": _cmd_keygen,
     "verify": _cmd_verify,
     "analyze": _cmd_analyze,
     "shor-sim": _cmd_shor_sim,

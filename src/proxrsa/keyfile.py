@@ -63,12 +63,8 @@ def document_to_bytes(doc: dict) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def write_key_file(path: str, kp: KeyPair) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    atomic_write_bytes(path, document_to_bytes(keypair_to_document(kp)))
-
-
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Atomic write: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:

@@ -18,7 +18,10 @@ exponents of whatever the attempt returns.  Every attempt is built from
 two candidate scans: numerics.next_prime_in_progression for anchors and
 outer primes (the outer candidates K*2^shift + p are the progression
 == p mod 2^shift), and `_partner_primes`, the probable primes among the
-first max_candidates candidates around an anchor, closest first.
+first max_candidates candidates around an anchor, closest first.  Those
+candidates are one merge of two progressions in the partner's residue
+class, the one falling from just below the anchor and the one rising from
+just above it, ordered by distance to the anchor.
 
 Everything is a deterministic function of the parameters (seed included):
 candidate bases, residues and search order are all derived from one
@@ -28,6 +31,7 @@ candidate in its fixed order, so two runs can never diverge.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,7 +51,6 @@ from .entropy import (
 from .errors import InfeasibleError, ParameterError, SearchExhaustedError
 from .numerics import SeedStream
 
-PRIME_TEST_ROUNDS = 64
 DEFAULT_SHIFT = 100
 MIN_SHIFT = 20
 
@@ -123,10 +126,7 @@ def build_small_modulus(ell: int) -> int:
     """Product of the first ell primes."""
     if ell < 1:
         raise ParameterError("ell must be >= 1")
-    m = 1
-    for p in numerics.first_primes(ell):
-        m *= p
-    return m
+    return math.prod(numerics.first_primes(ell))
 
 
 def derive_residues(m_modulus: int, stream: SeedStream, count: int) -> list[int]:
@@ -168,32 +168,20 @@ def derive_residues(m_modulus: int, stream: SeedStream, count: int) -> list[int]
 
 
 def _partner_candidates(p: int, residue: int, modulus: int, max_gap: int):
-    """Candidates == residue (mod modulus) ordered by |q - p|, ties toward smaller q."""
-    up = p + ((residue - p) % modulus)
-    if up == p:
-        up += modulus
-    down = p - ((p - residue) % modulus)
-    if down == p:
-        down -= modulus
-    while True:
-        gap_up = up - p
-        gap_down = p - down
-        if gap_up >= max_gap and gap_down >= max_gap:
-            return
-        if gap_down <= gap_up and gap_down < max_gap and down >= 3:
-            yield down
-            down -= modulus
-        elif gap_up < max_gap:
-            yield up
-            up += modulus
-        else:
-            down -= modulus
+    """Candidates q >= 3, q == residue (mod modulus), 0 < |q - p| < max_gap,
+    ordered by |q - p|, ties toward smaller q."""
+    down = p - ((p - residue) % modulus or modulus)
+    up = p + ((residue - p) % modulus or modulus)
+    merged = heapq.merge(
+        range(down, 2, -modulus), itertools.count(up, modulus), key=lambda q: (abs(q - p), q)
+    )
+    return itertools.takewhile(lambda q: abs(q - p) < max_gap, merged)
 
 
 def _partner_primes(p: int, residue: int, modulus: int, max_gap: int, max_candidates: int):
     """Probable primes among the first max_candidates of _partner_candidates."""
     for q in itertools.islice(_partner_candidates(p, residue, modulus, max_gap), max_candidates):
-        if numerics.is_probable_prime(q, PRIME_TEST_ROUNDS):
+        if numerics.is_probable_prime(q):
             yield q
 
 
@@ -218,12 +206,7 @@ def _search_close_partner(
 
 def _dominant_pair_report(primes: list[int], gamma: Fraction, m: int) -> EntropyReport:
     """Multi-prime report: worst (largest-delta) pair drives the estimate."""
-    worst = None
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            d = proximity_delta(primes[i], primes[j])
-            if worst is None or d > worst:
-                worst = d
+    worst = max(proximity_delta(p, q) for p, q in itertools.combinations(primes, 2))
     return EntropyReport(
         delta=worst,
         purity_lower=purity_lower(worst),
@@ -236,11 +219,8 @@ def _dominant_pair_report(primes: list[int], gamma: Fraction, m: int) -> Entropy
 
 def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int, int]]:
     """(n, phi, d) when e is usable and d clears the d^10 > n^3 floor."""
-    n = 1
-    phi = 1
-    for p in primes:
-        n *= p
-        phi *= p - 1
+    n = math.prod(primes)
+    phi = math.prod(p - 1 for p in primes)
     if math.gcd(e, phi) != 1:
         return None
     d = pow(e, -1, phi)
@@ -298,9 +278,7 @@ def _draw_anchor(stream, bits, residue, m_modulus, params) -> Optional[int]:
     base = numerics.stream_bits(stream, bits)
     base |= 3 << (bits - 2)  # keep the product of the primes at full width
     try:
-        return numerics.next_prime_in_progression(
-            base, residue, m_modulus, params.max_candidates, PRIME_TEST_ROUNDS
-        )
+        return numerics.next_prime_in_progression(base, residue, m_modulus, params.max_candidates)
     except SearchExhaustedError:
         return None
 
@@ -426,11 +404,10 @@ def _attempt_outer(stream, params, shift, p, q):
     j_floor = -(-(abs(p - q) + 2 * target_gap) // scale)
     try:
         p_outer = numerics.next_prime_in_progression(
-            k_base * scale + p, p % scale, scale, params.max_candidates, PRIME_TEST_ROUNDS
+            k_base * scale + p, p % scale, scale, params.max_candidates
         )
         q_outer = numerics.next_prime_in_progression(
-            p_outer - p + j_floor * scale + q, q % scale, scale,
-            params.max_candidates, PRIME_TEST_ROUNDS,
+            p_outer - p + j_floor * scale + q, q % scale, scale, params.max_candidates
         )
     except SearchExhaustedError:
         return None

@@ -153,9 +153,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     return True
 
 
-def next_prime_in_progression(
-    start: int, residue: int, modulus: int, max_steps: int, rounds: int = 64
-) -> int:
+def next_prime_in_progression(start: int, residue: int, modulus: int, max_steps: int) -> int:
     """Smallest prime p >= start with p == residue (mod modulus).
 
     Candidates go start', start'+modulus, start'+2*modulus, ... where
@@ -173,7 +171,7 @@ def next_prime_in_progression(
 
     candidate = start + ((residue - start) % modulus)
     for _ in range(max_steps):
-        if candidate >= 2 and is_probable_prime(candidate, rounds):
+        if candidate >= 2 and is_probable_prime(candidate):
             return candidate
         candidate += modulus
     raise SearchExhaustedError(

@@ -65,6 +65,9 @@ MAX_DENSE_Q = 1 << 22
 
 @dataclass
 class ComparisonRow:
+    """One shor-compare CSV row; the fields are its columns, in order."""
+
+    group: str
     n: int
     p: int
     q: int
@@ -73,7 +76,6 @@ class ComparisonRow:
     angular_separation_den: int
     mean_success_prob: float
     mean_success_prob_refined: float
-    group: str
 
 
 @dataclass
@@ -255,12 +257,6 @@ def _candidate_groups(r: int, q_size: int):
         yield c, ((y,) if twice < r else (y + 1,) if twice > r else (y, y + 1))
 
 
-def _success_candidates(r: int, q_size: int):
-    """Every y with 2*|y*r - c*Q| <= r for some c in [0, r), in increasing order."""
-    for _, ys in _candidate_groups(r, q_size):
-        yield from ys
-
-
 def _lifts_to(r_hat: int, r: int, n: int) -> bool:
     """Whether the small-factor refinement turns r_hat into the order r.
 
@@ -431,6 +427,7 @@ def compare_moduli(
             g = math.gcd(p - 1, q - 1)
             report.rows.append(
                 ComparisonRow(
+                    group=group,
                     n=n,
                     p=p,
                     q=q,
@@ -439,7 +436,6 @@ def compare_moduli(
                     angular_separation_den=(p - 1) * (q - 1),
                     mean_success_prob=sum(plain) / len(plain),
                     mean_success_prob_refined=sum(refined) / len(refined),
-                    group=group,
                 )
             )
     return report

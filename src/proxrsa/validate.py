@@ -10,6 +10,7 @@ mpmath.  A bug in the generation path therefore cannot hide itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Union
@@ -60,12 +61,9 @@ def _probably_prime(n: int) -> bool:
 def _pairwise_proximity_ok(primes: list[int], gamma: Fraction) -> bool:
     num2 = gamma.numerator * gamma.numerator
     den2 = gamma.denominator * gamma.denominator
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            p, q = primes[i], primes[j]
-            if den2 * (p - q) * (p - q) >= num2 * p * q:
-                return False
-    return True
+    return all(
+        den2 * (p - q) * (p - q) < num2 * p * q for p, q in itertools.combinations(primes, 2)
+    )
 
 
 def _entropy_constraint_ok(p: int, q: int, gamma: Fraction, beta: float) -> bool:
@@ -122,12 +120,8 @@ def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
         failures.append("fewer than two primes (or inner primes) listed")
         return failures
 
-    product = 1
-    phi = 1
-    for p in primes:
-        product *= p
-        phi *= p - 1
-    if product != n:
+    phi = math.prod(p - 1 for p in primes)
+    if math.prod(primes) != n:
         failures.append("N != product of primes")
     for p in primes:
         if not _probably_prime(p):

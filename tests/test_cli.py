@@ -237,6 +237,30 @@ def test_shor_compare_csv_and_summary(tmp_path, capsys):
         assert 0.0 <= float(row["mean_success_prob"]) <= 1.0
 
 
+STDOUT_OR_FILE = {
+    "keygen": ["keygen", "--k", "64"],
+    "keygen-multi": ["keygen-multi", "--m", "3", "--k", "96"],
+    "keygen-compat": ["keygen-compat", "--shift", "20", "--k", "256"],
+    "shor-compare": ["shor-compare", "--bits", "10", "--pairs", "3", "--gamma", "0.35"],
+}
+
+
+@pytest.mark.parametrize("command", list(STDOUT_OR_FILE))
+def test_stdout_and_out_file_hold_the_same_bytes(command, tmp_path, capsys):
+    argv = STDOUT_OR_FILE[command] + ["--seed", ZEROS]
+    if command != "shor-compare":
+        argv += ["--gamma", "1/4", "--insecure-small"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out"
+    code, _, err_with_file = run(capsys, *argv, "-o", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode("utf-8")
+    note = "contains private key material"
+    assert note not in err
+    assert (note in err_with_file) == command.startswith("keygen")
+
+
 def test_census_json(capsys):
     code, out, _ = run(capsys, "census", "--lo", "2", "--hi", "20", "--gamma", "1/2")
     assert code == 0
@@ -472,6 +496,7 @@ MALFORMED = [
     ("analyze", {"primes": []}, cli.EXIT_BAD_PARAMS),
     ("verify", {"primes": ["0x5"]}, cli.EXIT_VERIFY_FAILED),
     ("analyze", {"primes": ["0x5"]}, cli.EXIT_BAD_PARAMS),
+    ("analyze", {"primes": ["0x5", "0x0", "0x7"]}, cli.EXIT_OK),  # closest pair skips the 0
     ("verify", {"primes": ["0x1", "0x5"], "e": "0x1"}, cli.EXIT_VERIFY_FAILED),
 ]
 

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxrsa import keyfile, keygen, numerics, validate
 from proxrsa.errors import InfeasibleError, ParameterError, SearchExhaustedError
@@ -302,6 +304,47 @@ def test_each_scan_stops_after_max_candidates(variant, accepted, monkeypatch):
         generate(params64(k=k, max_candidates=5, max_restarts=1))
     assert len(calls) == accepted + 5
     assert len(set(calls)) == len(calls)
+
+
+def two_pointer_partner_candidates(p, residue, modulus, max_gap):
+    """The partner scan as a hand-written two-pointer merge: the oracle."""
+    up = p + ((residue - p) % modulus)
+    if up == p:
+        up += modulus
+    down = p - ((p - residue) % modulus)
+    if down == p:
+        down -= modulus
+    while True:
+        gap_up = up - p
+        gap_down = p - down
+        if gap_up >= max_gap and gap_down >= max_gap:
+            return
+        if gap_down <= gap_up and gap_down < max_gap and down >= 3:
+            yield down
+            down -= modulus
+        elif gap_up < max_gap:
+            yield up
+            up += modulus
+        else:
+            down -= modulus
+
+
+@given(
+    st.one_of(st.integers(0, 200), st.integers(1 << 511, 1 << 512)),
+    st.integers(0, 1 << 20),
+    st.integers(1, 64),
+    st.integers(0, 2000),
+)
+@example(p=10, residue=0, modulus=1, max_gap=5)  # modulus 1: every integer
+@example(p=10, residue=1, modulus=4, max_gap=0)  # max_gap 0: nothing
+@example(p=4, residue=1, modulus=2, max_gap=40)  # down < 3 from the start
+@example(p=6, residue=1, modulus=2, max_gap=40)  # down falls below 3
+@example(p=10, residue=0, modulus=4, max_gap=9)  # ties: 8 before 12
+@example(p=1 << 511, residue=5, modulus=6, max_gap=100)  # ties: p - 3 before p + 3
+@settings(max_examples=400, deadline=None)
+def test_partner_candidates_match_the_two_pointer_merge(p, residue, modulus, max_gap):
+    got = list(keygen._partner_candidates(p, residue, modulus, max_gap))
+    assert got == list(two_pointer_partner_candidates(p, residue, modulus, max_gap))
 
 
 # --- serialization round trip ---------------------------------------------

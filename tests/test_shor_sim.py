@@ -65,10 +65,15 @@ def order_by_multiplication(a, n):
     return r
 
 
+def candidates(r, q_size):
+    """Every y that _candidate_groups scores, in its order."""
+    return [y for _, ys in shor_sim._candidate_groups(r, q_size) for y in ys]
+
+
 def success_by_continued_fraction(n, r, q_size):
     """(plain, refined) with one continued fraction per candidate y, in increasing y."""
     plain = refined = 0.0
-    for y in shor_sim._success_candidates(r, q_size):
+    for y in candidates(r, q_size):
         r_hat = shor_sim.recover_period(y, q_size, n)
         if r_hat is None or not shor_sim._lifts_to(r_hat, r, n):
             continue
@@ -313,7 +318,7 @@ def test_success_candidates_are_the_half_windows():
                 for y in range(q_size)
                 if any(2 * abs(y * r - c * q_size) <= r for c in range(r + 1))
             ]
-            assert list(shor_sim._success_candidates(r, q_size)) == want, (r, q_size)
+            assert candidates(r, q_size) == want, (r, q_size)
 
 
 @given(st.integers(2, 1 << 12), st.integers(0, 2), st.data())
