@@ -7,19 +7,8 @@ exact toy-scale period-finding simulator plus prime-pair census tools to
 probe the construction empirically.
 """
 
-from .entropy import (
-    EntropyReport,
-    check_entropy_constraint,
-    h2_estimate,
-    h2_from_delta,
-    h2_upper_bound,
-    model_eigenvalues,
-    multiprime_h2_bound,
-    proximity_delta,
-    proximity_holds_exact,
-    purity_lower,
-    renyi_entropy,
-)
+import importlib
+
 from .errors import (
     InfeasibleError,
     NumericalError,
@@ -29,17 +18,45 @@ from .errors import (
     SearchExhaustedError,
     StreamExhaustedError,
 )
-from .keygen import (
-    KeyGenParams,
-    KeyPair,
-    build_small_modulus,
-    derive_residues,
-    generate_compatible,
-    generate_keypair,
-    generate_multiprime,
-)
-from .numerics import SeedStream, is_probable_prime, sieve_range
-from .validate import validate_key
+
+# The other public names load their module on first use (PEP 562), so a
+# command that imports one submodule loads none of the others.
+_LAZY = {
+    "entropy": (
+        "EntropyReport",
+        "check_entropy_constraint",
+        "h2_estimate",
+        "h2_from_delta",
+        "h2_upper_bound",
+        "model_eigenvalues",
+        "multiprime_h2_bound",
+        "proximity_delta",
+        "proximity_holds_exact",
+        "purity_lower",
+        "renyi_entropy",
+    ),
+    "keygen": (
+        "KeyGenParams",
+        "KeyPair",
+        "build_small_modulus",
+        "derive_residues",
+        "generate_compatible",
+        "generate_keypair",
+        "generate_multiprime",
+    ),
+    "numerics": ("SeedStream", "is_probable_prime", "sieve_range"),
+    "validate": ("validate_key",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -24,15 +24,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import analysis, census, keyfile, shor_sim, validate
+from . import keyfile
 from .errors import ParameterError, ProxRsaError, SearchExhaustedError
-from .keygen import (
-    DEFAULT_SHIFT,
-    KeyGenParams,
-    generate_compatible,
-    generate_keypair,
-    generate_multiprime,
-)
 from .numerics import SeedStream
 
 EXIT_OK = 0
@@ -112,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen-compat", help="layered key with wide outer gap")
     add_keygen_flags(p)
-    p.add_argument("--shift", type=int, default=DEFAULT_SHIFT, help="inner/outer shift width")
+    p.add_argument("--shift", type=int, default=None, help="inner/outer shift width")
 
     p = sub.add_parser("verify", help="re-validate a key file")
     p.add_argument("keyfile", type=str)
@@ -154,12 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keygen_params(args) -> KeyGenParams:
+def _cmd_keygen(args) -> int:
+    from . import keygen
+
     if args.k < INSECURE_SMALL_THRESHOLD and not args.insecure_small:
         raise ParameterError(
             f"k={args.k} is far below production size; pass --insecure-small to proceed"
         )
-    return KeyGenParams(
+    params = keygen.KeyGenParams(
         k=args.k,
         seed=_parse_seed(args.seed),
         gamma=None if args.gamma is None else keyfile.gamma_from_str(args.gamma),
@@ -170,16 +165,12 @@ def _keygen_params(args) -> KeyGenParams:
         max_candidates=args.max_candidates,
         max_restarts=args.max_restarts,
     )
-
-
-def _cmd_keygen(args) -> int:
-    params = _keygen_params(args)
     if args.command == "keygen-multi":
-        kp = generate_multiprime(params, args.m)
+        kp = keygen.generate_multiprime(params, args.m)
     elif args.command == "keygen-compat":
-        kp = generate_compatible(params, args.shift)
+        kp = keygen.generate_compatible(params, keygen.DEFAULT_SHIFT if args.shift is None else args.shift)
     else:
-        kp = generate_keypair(params)
+        kp = keygen.generate_keypair(params)
     _emit(_json_text(keyfile.keypair_to_document(kp)), args.out)
     if args.out is not None:
         print(
@@ -191,6 +182,8 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import validate
+
     key = keyfile.read_key_file(args.keyfile)
     failures = validate.validate_key(key)
     if failures:
@@ -213,6 +206,8 @@ def _closest_pair(primes: list[int]) -> list[int]:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
+
     key = keyfile.read_key_file(args.keyfile)
     if len(key.primes) < 2 or (key.inner_primes is not None and len(key.inner_primes) < 2):
         raise ParameterError(f"{args.keyfile}: analyze needs a key of at least two primes")
@@ -241,6 +236,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_shor_sim(args) -> int:
+    from . import shor_sim
+
     refine = not args.no_refine
     n = args.modulus
     q_size = shor_sim.default_q(n) if args.q_size is None else args.q_size
@@ -292,6 +289,8 @@ COMPARE_CSV_COLUMNS = [
 
 
 def _cmd_shor_compare(args) -> int:
+    from . import shor_sim
+
     stream = SeedStream(_parse_seed(args.seed))
     report = shor_sim.compare_moduli(
         args.bits, args.pairs, args.gamma, stream, args.q_size, args.bases
@@ -311,6 +310,8 @@ def _cmd_shor_compare(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import census
+
     gamma = keyfile.gamma_from_str(args.gamma)
     has_mod = args.mod is not None
     if has_mod != (args.res_a is not None) or has_mod != (args.res_b is not None):

@@ -12,10 +12,12 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ParameterError
-from .keygen import KeyPair
+
+if TYPE_CHECKING:
+    from .keygen import KeyPair
 
 
 def _unhex(s: str) -> int:

@@ -5,9 +5,11 @@ throughout; every routine here accepts and returns plain ints, and gcd,
 modular inverse and integer square root are the builtins (``math.gcd``,
 ``pow(e, -1, m)``, ``math.isqrt``).  All randomness flows through
 :class:`SeedStream` (SHA-256 in counter mode), so identical seeds
-reproduce identical results bit for bit.  Only the range sieve
-(:func:`sieve_range` and the census's segment sieve) loads numpy, so the
-key path never imports it.
+reproduce identical results bit for bit.  The range sieve
+(:func:`sieve_range` and the census's segment sieve) marks the odd
+numbers of a window in a ``bytearray``, one byte each, and crosses off
+multiples with slices of one shared zero buffer; the module needs
+nothing outside the standard library.
 """
 
 from __future__ import annotations
@@ -191,34 +193,48 @@ def sieve_range(lo: int, hi: int) -> list[int]:
         raise RangeTooLargeError(f"segment span exceeds 2^28: {hi - lo}")
     if hi < 2:
         return []
-    return _segment_primes(lo, hi, _base_primes(hi)).tolist()
+    return _segment_primes(lo, hi, _base_primes(hi))
 
 
-def _segment_primes(lo: int, hi: int, base_primes: list[int]):
-    """The primes in [lo, hi] as an ascending numpy int64 array.
+def _segment_primes(lo: int, hi: int, base_primes: list[int]) -> list[int]:
+    """The primes in [lo, hi], ascending.
 
     base_primes must hold every prime from 2 up to isqrt(hi), ascending;
     larger ones are ignored, so one base list serves every segment below
     its hi.
     """
-    import numpy as np
+    mask = _odd_mask(lo, hi, base_primes, _zero_buffer(hi - lo))
+    primes = list(itertools.compress(range(lo | 1, hi + 1, 2), mask))
+    return [2, *primes] if lo <= 2 <= hi else primes
 
-    # Only odd numbers are sieved: mask[i] stands for odd + 2*i.
+
+def _zero_buffer(span: int) -> memoryview:
+    """One 1 byte and then enough zero bytes for _odd_mask and for a
+    zero-run needle over any window of at most span + 1 numbers."""
+    return memoryview(b"\x01" + bytes(span // 2 + 1))
+
+
+def _odd_mask(lo: int, hi: int, base_primes: list[int], buffer: memoryview) -> bytearray:
+    """mask[i] is 1 when lo|1 + 2*i is prime, 0 otherwise, over the odd
+    numbers of [lo, hi]; 2 is left to the caller.  Multiples are crossed
+    off with slices of buffer (from _zero_buffer), so no base prime
+    allocates zero bytes of its own."""
     odd = lo | 1
-    mask = np.ones(max(0, (hi - odd) // 2 + 1), dtype=bool)
-    if odd == 1 and len(mask):
-        mask[0] = False
+    size = max(0, (hi - odd) // 2 + 1)
+    mask = bytearray(b"\x01") * size
+    if odd == 1 and size:
+        mask[0] = 0
+    zeros = buffer[1:]
     for p in base_primes[1:]:
         if p * p > hi:
             break
         first = max(p * p, -(-lo // p) * p)
         if first % 2 == 0:
             first += p
-        mask[(first - odd) // 2 :: p] = False
-    primes = 2 * np.flatnonzero(mask) + odd
-    if lo <= 2 <= hi:
-        primes = np.concatenate(([2], primes))
-    return primes
+        start = (first - odd) // 2
+        if start < size:
+            mask[start::p] = zeros[: (size - 1 - start) // p + 1]
+    return mask
 
 
 def _base_primes(hi: int) -> list[int]:

@@ -52,9 +52,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .entropy import proximity_delta, proximity_holds_exact
+from . import entropy, numerics
 from .errors import NumericalError, ParameterError
-from .numerics import SeedStream, _simple_sieve, euler_phi, prime_factors, stream_uint
+from .numerics import SeedStream, _simple_sieve, euler_phi, prime_factors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -345,7 +345,7 @@ def draw_bases(stream: SeedStream, n: int, count: int) -> list[int]:
     bases: list[int] = []
     seen = set()
     while len(bases) < count:
-        a = 2 + stream_uint(stream, n - 3)
+        a = 2 + numerics.stream_uint(stream, n - 3)
         if a in seen or math.gcd(a, n) != 1:
             continue
         seen.add(a)
@@ -357,7 +357,7 @@ def _sample_indices(stream: SeedStream, size: int, count: int) -> list[int]:
     pool = list(range(size))
     chosen = []
     for _ in range(count):
-        idx = stream_uint(stream, len(pool))
+        idx = numerics.stream_uint(stream, len(pool))
         chosen.append(pool.pop(idx))
     return chosen
 
@@ -398,9 +398,9 @@ def compare_moduli(
                 continue
             if n.bit_length() > bit_size:
                 break
-            candidates.append((p, q, float(proximity_delta(p, q))))
+            candidates.append((p, q, float(entropy.proximity_delta(p, q))))
 
-    close_pool = [c for c in candidates if proximity_holds_exact(c[0], c[1], close_gamma)]
+    close_pool = [c for c in candidates if entropy.proximity_holds_exact(c[0], c[1], close_gamma)]
     by_delta = sorted(candidates, key=lambda c: c[2])
     control_pool = by_delta[3 * len(by_delta) // 4 :]
     if len(close_pool) < n_pairs or len(control_pool) < n_pairs:

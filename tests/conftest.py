@@ -59,7 +59,13 @@ from proxrsa import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 with open("/proc/self/status") as status:
     hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-report = {"codes": codes, "numpy": "numpy" in sys.modules, "vmhwm_kb": hwm}
+report = {
+    "codes": codes,
+    "numpy": "numpy" in sys.modules,
+    "mpmath": "mpmath" in sys.modules,
+    "modules": sorted(name for name in sys.modules if name.startswith("proxrsa.")),
+    "vmhwm_kb": hwm,
+}
 print(json.dumps(report), file=sys.stderr)
 """
 
@@ -69,9 +75,10 @@ def cli_probe():
     """Run `cli.main(argv)` for each argv in turn in one fresh interpreter.
 
     Returns (stdout, report); report holds the exit codes, whether numpy
-    was imported, and the interpreter's own peak RSS in kB (VmHWM).  Unlike
-    ru_maxrss, VmHWM does not start from the high-water mark of the parent
-    process that started the child.
+    and mpmath were imported, the proxrsa submodules loaded (as
+    "proxrsa.census" and so on), and the interpreter's own peak RSS in kB
+    (VmHWM).  Unlike ru_maxrss, VmHWM does not start from the high-water
+    mark of the parent process that started the child.
     """
 
     def run(argvs):

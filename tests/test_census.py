@@ -285,3 +285,15 @@ def test_progression_census_over_the_capped_span(tmp_path, cli_process, cli_prob
     result = cli_process(["census", "--lo", str(lo), "--hi", str(hi + 1), *flags], timeout=60)
     assert result.returncode == cli.EXIT_BAD_PARAMS, result.stderr
     assert "capped at 2^26" in result.stderr
+
+
+def test_plain_census_at_the_top_of_the_range(cli_probe):
+    """At hi = 2^40 and gamma = 1/2, G(p)/2 is about 2.7e11 bytes, far past
+    the end of any segment: the scan must stop without building a needle
+    that long."""
+    lo, hi = (1 << 40) - (1 << 24), 1 << 40
+    out, report = cli_probe([["census", "--lo", str(lo), "--hi", str(hi), "--gamma", "1/2"]])
+    assert report["codes"] == [cli.EXIT_OK]
+    assert report["vmhwm_kb"] < 100 * 1024
+    doc = json.loads(out)
+    assert doc["pair_count"] == doc["prime_count"] - 1 > 0

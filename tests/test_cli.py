@@ -212,6 +212,29 @@ def test_shor_compare_never_imports_numpy(cli_probe):
     assert not report["numpy"]
 
 
+def test_census_loads_neither_numpy_nor_mpmath(cli_probe):
+    _, report = cli_probe(
+        [
+            ["census", "--lo", "1000000", "--hi", "1100000", "--gamma", "1/2"],
+            ["census", "--lo", "1000", "--hi", "5000", "--gamma", "1/2", "--mod", "6", "--a", "1", "--b", "5"],
+        ]
+    )
+    assert report["codes"] == [cli.EXIT_OK] * 2
+    assert not report["numpy"] and not report["mpmath"]
+    assert not {"proxrsa.keygen", "proxrsa.entropy"} & set(report["modules"])
+
+
+def test_commands_load_only_their_own_modules(tmp_path, cli_probe):
+    _, report = cli_probe([["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "2"]])
+    assert report["codes"] == [cli.EXIT_OK]
+    assert "proxrsa.shor_sim" in report["modules"]
+    assert not {"proxrsa.keygen", "proxrsa.validate", "proxrsa.analysis", "proxrsa.census"} & set(report["modules"])
+    _, report = cli_probe([keygen_args(tmp_path / "key.json")])
+    assert report["codes"] == [cli.EXIT_OK]
+    assert "proxrsa.keygen" in report["modules"]
+    assert not {"proxrsa.analysis", "proxrsa.validate", "proxrsa.shor_sim", "proxrsa.census"} & set(report["modules"])
+
+
 def test_shor_sim_sweep(capsys):
     code, out, _ = run(capsys, "shor-sim", "--N", "21", "--sweep", "5")
     assert code == 0

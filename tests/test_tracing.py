@@ -7,6 +7,10 @@ both by path; the tracer builds its wrappers without putting them in.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,20 @@ import pytest
 from proxrsa import keygen
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src"
+
+# Imports what the worker imports (by importing it), then switches the
+# tracer on before the first CLI call, as a traced run does.
+_TRACED_RUN = """
+import json, sys
+import tracing, worker
+recorder = tracing.Recorder()
+swaps = tracing.wrappers(recorder)
+tracing.switch(swaps, True)
+rc, _ = worker.run_cli(json.loads(sys.argv[1]))
+tracing.switch(swaps, False)
+print(json.dumps({"rc": rc, "calls": {name: stat[0] for name, stat in recorder.stats.items()}}))
+"""
 
 
 def _load(name, path):
@@ -50,3 +68,20 @@ def test_worker_lifecycle_runs_on_todays_names(spec, monkeypatch):
     worker = _load("proxrsa_bench_worker", BENCH / "worker.py")
     reply = worker.lifecycle(spec, "00" * 32)
     assert reply["failures"] == []
+
+
+def test_tracer_counts_calls_of_modules_loaded_after_it():
+    """shor_sim loads only when shor-compare runs, after the tracer has
+    built its wrappers, so it must call the traced functions through
+    their home modules for the calls to be counted."""
+    argv = ["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "2"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(BENCH)]))
+    result = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["rc"] == 0
+    assert report["calls"]["numerics.stream_uint"] > 0
+    assert report["calls"]["entropy.proximity_holds_exact"] > 0
