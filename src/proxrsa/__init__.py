@@ -37,13 +37,13 @@ _LAZY = {
     ),
     "keygen": (
         "KeyGenParams",
-        "KeyPair",
         "build_small_modulus",
         "derive_residues",
         "generate_compatible",
         "generate_keypair",
         "generate_multiprime",
     ),
+    "keyfile": ("KeyPair",),
     "numerics": ("SeedStream", "is_probable_prime", "sieve_range"),
     "validate": ("validate_key",),
 }

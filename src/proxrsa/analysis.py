@@ -29,14 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from mpmath import mp, mpf
 
 from .entropy import h2_estimate
 from .errors import ParameterError
-from .keyfile import LoadedKey
-from .keygen import KeyPair
+from .keyfile import KeyPair
 from .numerics import is_probable_prime
 
 # turn -> (a, d, c) with cos(2*pi*turn) = a * sqrt(d) / c.
@@ -221,7 +220,7 @@ def fermat_iterations_analytic(p: int, q: int) -> int:
     return (p + q) // 2 - _ceil_sqrt(p * q) + 1
 
 
-def classical_report(key: Union[KeyPair, LoadedKey], fermat_budget: int) -> ClassicalReport:
+def classical_report(key: KeyPair, fermat_budget: int) -> ClassicalReport:
     """Classical attack posture of a key; exact integer comparisons throughout."""
     if fermat_budget < 1:
         raise ParameterError("fermat_budget must be >= 1")

@@ -26,7 +26,6 @@ from typing import Optional
 
 from . import keyfile
 from .errors import ParameterError, ProxRsaError, SearchExhaustedError
-from .numerics import SeedStream
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -237,6 +236,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_shor_sim(args) -> int:
     from . import shor_sim
+    from .numerics import SeedStream
 
     refine = not args.no_refine
     n = args.modulus
@@ -290,6 +290,7 @@ COMPARE_CSV_COLUMNS = [
 
 def _cmd_shor_compare(args) -> int:
     from . import shor_sim
+    from .numerics import SeedStream
 
     stream = SeedStream(_parse_seed(args.seed))
     report = shor_sim.compare_moduli(

@@ -1,8 +1,10 @@
-"""Key file serialization: JSON, hex-encoded integers, byte-stable output.
+"""The key record and its file format: JSON, hex-encoded integers,
+byte-stable output.
 
-Every big integer is a lowercase hex string with an "0x" prefix; gamma is
-an exact "num/den" string; keys are sorted so identical key material always
-produces identical bytes.
+A generator returns a KeyPair and read_key_file returns one; the file
+holds exactly its fields.  Every big integer is a lowercase hex string
+with an "0x" prefix; gamma is an exact "num/den" string; keys are sorted
+so identical key material always produces identical bytes.
 """
 
 from __future__ import annotations
@@ -12,18 +14,39 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import ParameterError
-
-if TYPE_CHECKING:
-    from .keygen import KeyPair
 
 
 def _unhex(s: str) -> int:
     if not isinstance(s, str) or not s.startswith("0x"):
         raise ParameterError(f"expected 0x-prefixed hex string, got {s!r}")
     return int(s, 16)
+
+
+@dataclass
+class KeyPair:
+    """One key: what a generator returns and what a key file holds.
+
+    gamma is the resolved proximity bound and entropy_report the
+    generator's report as the file stores it.  No key invariant is checked
+    here; validate.validate_key re-derives them from the raw integers.
+    """
+
+    variant: str  # standard | multiprime | compatible
+    k: int
+    gamma: Fraction
+    beta: float
+    e: int
+    d: int
+    n: int
+    primes: list[int]
+    m_modulus: int
+    residues: list[int]
+    inner_primes: Optional[list[int]]
+    entropy_report: dict
+    seed: bytes
 
 
 def gamma_to_str(gamma: Fraction) -> str:
@@ -46,9 +69,9 @@ def gamma_from_str(text: str) -> Fraction:
 def keypair_to_document(kp: KeyPair) -> dict:
     return {
         "variant": kp.variant,
-        "k": kp.params.k,
-        "gamma": gamma_to_str(kp.params.resolved_gamma()),
-        "beta": kp.params.beta,
+        "k": kp.k,
+        "gamma": gamma_to_str(kp.gamma),
+        "beta": kp.beta,
         "e": hex(kp.e),
         "d": hex(kp.d),
         "N": hex(kp.n),
@@ -56,8 +79,8 @@ def keypair_to_document(kp: KeyPair) -> dict:
         "M": hex(kp.m_modulus),
         "residues": [hex(r) for r in kp.residues],
         "inner_primes": [hex(p) for p in kp.inner_primes] if kp.inner_primes else None,
-        "entropy_report": kp.entropy.to_dict(),
-        "seed": "0x" + kp.params.seed.hex(),
+        "entropy_report": kp.entropy_report,
+        "seed": "0x" + kp.seed.hex(),
     }
 
 
@@ -79,25 +102,6 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-@dataclass
-class LoadedKey:
-    """Parsed key file contents, integers decoded, nothing validated yet."""
-
-    variant: str
-    k: int
-    gamma: Fraction
-    beta: float
-    e: int
-    d: int
-    n: int
-    primes: list[int]
-    m_modulus: int
-    residues: list[int]
-    inner_primes: Optional[list[int]]
-    entropy_report: dict
-    seed: bytes
-
-
 # JSON type of each field, as docs/key-schema.json gives it.
 _FIELD_TYPES = {
     "variant": str,
@@ -116,7 +120,7 @@ _FIELD_TYPES = {
 }
 
 
-def load_key_document(doc: dict) -> LoadedKey:
+def load_key_document(doc: dict) -> KeyPair:
     if not isinstance(doc, dict):
         raise ParameterError(f"malformed key document: {type(doc).__name__}, not an object")
     for name, types in _FIELD_TYPES.items():
@@ -129,8 +133,11 @@ def load_key_document(doc: dict) -> LoadedKey:
         seed_hex = doc["seed"]
         if not seed_hex.startswith("0x"):
             raise ParameterError("seed must be 0x-prefixed hex")
+        seed = bytes.fromhex(seed_hex[2:])
+        if len(seed) != 32:
+            raise ParameterError(f"seed must be 32 bytes, got {len(seed)}")
         inner = doc.get("inner_primes")
-        return LoadedKey(
+        return KeyPair(
             variant=doc["variant"],
             k=doc["k"],
             gamma=gamma_from_str(doc["gamma"]),
@@ -143,13 +150,13 @@ def load_key_document(doc: dict) -> LoadedKey:
             residues=[_unhex(r) for r in doc["residues"]],
             inner_primes=[_unhex(p) for p in inner] if inner else None,
             entropy_report=doc.get("entropy_report") or {},
-            seed=bytes.fromhex(seed_hex[2:]),
+            seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed key document: {exc}") from exc
 
 
-def read_key_file(path: str) -> LoadedKey:
+def read_key_file(path: str) -> KeyPair:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return load_key_document(doc)

@@ -49,6 +49,7 @@ from .entropy import (
     purity_lower,
 )
 from .errors import InfeasibleError, ParameterError, SearchExhaustedError
+from .keyfile import KeyPair
 from .numerics import SeedStream
 
 DEFAULT_SHIFT = 100
@@ -103,23 +104,6 @@ class KeyGenParams:
 
     def resolved_ell(self) -> int:
         return self.ell if self.ell is not None else max(1, self.k.bit_length() - 1)
-
-
-@dataclass
-class KeyPair:
-    """Fully validated key material plus the data needed to re-validate it."""
-
-    variant: str  # standard | multiprime | compatible
-    n: int
-    e: int
-    d: int
-    primes: list[int]
-    m_modulus: int
-    residues: list[int]
-    phi: int
-    entropy: EntropyReport
-    params: KeyGenParams
-    inner_primes: Optional[list[int]] = None
 
 
 def build_small_modulus(ell: int) -> int:
@@ -217,8 +201,8 @@ def _dominant_pair_report(primes: list[int], gamma: Fraction, m: int) -> Entropy
     )
 
 
-def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int, int]]:
-    """(n, phi, d) when e is usable and d clears the d^10 > n^3 floor."""
+def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int]]:
+    """(n, d) when e is usable and d clears the d^10 > n^3 floor."""
     n = math.prod(primes)
     phi = math.prod(p - 1 for p in primes)
     if math.gcd(e, phi) != 1:
@@ -226,7 +210,7 @@ def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int, i
     d = pow(e, -1, phi)
     if d**10 <= n**3:
         return None
-    return n, phi, d
+    return n, d
 
 
 def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
@@ -256,19 +240,21 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
         done = _finalize_exponents(params.e, primes)
         if done is None:
             continue
-        n, phi, d = done
+        n, d = done
         return KeyPair(
             variant=variant,
-            n=n,
+            k=params.k,
+            gamma=gamma,
+            beta=params.beta,
             e=params.e,
             d=d,
+            n=n,
             primes=primes,
             m_modulus=m_modulus,
             residues=residues,
-            phi=phi,
-            entropy=report,
-            params=params,
             inner_primes=inner,
+            entropy_report=report.to_dict(),
+            seed=params.seed,
         )
     raise SearchExhaustedError(exhausted)
 

@@ -1,11 +1,12 @@
 """Independent key validation.
 
-Re-derives every invariant from the raw integers of a key document.  The
-checks here intentionally do not call into keygen/numerics/entropy: the
-primality test uses fixed prime bases instead of per-candidate streams,
-exponent and proximity checks are exact integer comparisons written out
-inline, and the entropy constraint is re-evaluated from scratch with
-mpmath.  A bug in the generation path therefore cannot hide itself.
+Re-derives every invariant from the raw integers of a key record.  The
+checks here neither call nor import keygen, numerics or entropy (the
+record itself comes from keyfile): the primality test uses fixed prime
+bases instead of per-candidate streams, exponent and proximity checks are
+exact integer comparisons written out inline, and the entropy constraint
+is re-evaluated from scratch with mpmath.  A bug in the generation path
+therefore cannot hide itself.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from mpmath import mp, mpf
 
-from .keyfile import LoadedKey
-from .keygen import KeyPair
+from .keyfile import KeyPair
 
 _VALIDATOR_BASES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -95,7 +95,7 @@ def _primorial_factors(m: int) -> Optional[list[int]]:
     return factors
 
 
-def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
+def validate_key(key: KeyPair) -> list[str]:
     """All violated invariants of a key, empty when the key is valid."""
     variant = key.variant
     n, e, d = key.n, key.e, key.d
@@ -103,10 +103,7 @@ def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
     m_modulus = key.m_modulus
     residues = list(key.residues)
     inner = list(key.inner_primes) if key.inner_primes else None
-    if isinstance(key, KeyPair):
-        gamma, beta, k = key.params.resolved_gamma(), key.params.beta, key.params.k
-    else:
-        gamma, beta, k = key.gamma, key.beta, key.k
+    gamma, beta, k = key.gamma, key.beta, key.k
 
     failures: list[str] = []
 
@@ -119,6 +116,10 @@ def validate_key(key: Union[LoadedKey, KeyPair]) -> list[str]:
     if len(primes) < 2 or (inner is not None and len(inner) < 2):
         failures.append("fewer than two primes (or inner primes) listed")
         return failures
+    if variant == "standard" and len(primes) != 2:
+        failures.append("standard key must hold exactly two primes")
+    if variant == "multiprime" and len(primes) < 3:
+        failures.append("multiprime key must hold at least three primes")
 
     phi = math.prod(p - 1 for p in primes)
     if math.prod(primes) != n:

@@ -47,7 +47,7 @@ def test_criterion_01_keygen_validity():
         assert gamma.denominator**2 * (p - q) ** 2 < gamma.numerator**2 * p * q
         assert p % kp.m_modulus == kp.residues[0]
         assert q % kp.m_modulus == kp.residues[1]
-        assert kp.e * kp.d % kp.phi == 1
+        assert kp.e * kp.d % ((p - 1) * (q - 1)) == 1
         assert kp.d**10 > kp.n**3
         ok, _ = entropy.check_entropy_constraint(p, q, gamma, 0.9)
         assert ok

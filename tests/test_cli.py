@@ -1,10 +1,11 @@
 import csv
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from proxrsa import cli
+from proxrsa import cli, keyfile, numerics
 
 ZEROS = "00" * 32
 DATA = pathlib.Path(__file__).parent / "data"
@@ -229,10 +230,19 @@ def test_commands_load_only_their_own_modules(tmp_path, cli_probe):
     assert report["codes"] == [cli.EXIT_OK]
     assert "proxrsa.shor_sim" in report["modules"]
     assert not {"proxrsa.keygen", "proxrsa.validate", "proxrsa.analysis", "proxrsa.census"} & set(report["modules"])
-    _, report = cli_probe([keygen_args(tmp_path / "key.json")])
+    key = tmp_path / "key.json"
+    _, report = cli_probe([keygen_args(key)])
     assert report["codes"] == [cli.EXIT_OK]
     assert "proxrsa.keygen" in report["modules"]
     assert not {"proxrsa.analysis", "proxrsa.validate", "proxrsa.shor_sim", "proxrsa.census"} & set(report["modules"])
+    # the validator must not load the generator or the modules it is built from
+    _, report = cli_probe([["verify", str(key)]])
+    assert report["codes"] == [cli.EXIT_OK]
+    assert report["modules"] == ["proxrsa.cli", "proxrsa.errors", "proxrsa.keyfile", "proxrsa.validate"]
+    _, report = cli_probe([["analyze", str(key), "-o", str(tmp_path / "report.json")]])
+    assert report["codes"] == [cli.EXIT_OK]
+    assert "proxrsa.analysis" in report["modules"]
+    assert not {"proxrsa.keygen", "proxrsa.validate", "proxrsa.shor_sim", "proxrsa.census"} & set(report["modules"])
 
 
 def test_shor_sim_sweep(capsys):
@@ -511,6 +521,7 @@ MALFORMED = [
     ("verify", {"M": "0x0", "residues": ["0x1"]}, cli.EXIT_VERIFY_FAILED),
     ("verify", {"M": "0x0"}, cli.EXIT_VERIFY_FAILED),
     ("verify", {"seed": 5}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"seed": "0x00"}, cli.EXIT_BAD_PARAMS),
     ("analyze", {"seed": 5}, cli.EXIT_BAD_PARAMS),
     ("verify", {"gamma": 5}, cli.EXIT_BAD_PARAMS),
     ("verify", {"k": "512"}, cli.EXIT_BAD_PARAMS),
@@ -568,3 +579,54 @@ def test_verify_rejects_beta_and_k_outside_the_schema(fields, failure, tmp_path,
     code, _, err = run(capsys, "verify", str(key))
     assert code == cli.EXIT_VERIFY_FAILED
     assert f"FAIL: {failure}" in err.splitlines()
+
+
+def _wide_pair_key():
+    """A two-prime k = 512 key that meets gamma = 9/10 but not its entropy
+    budget: q is about 1.5p, so H2 is about 0.0434 bits against a budget
+    of 0.1 * log2(10/9), about 0.0152."""
+    p = numerics.next_prime_in_progression(3 << 254, 1, 6, 10_000)
+    q = numerics.next_prime_in_progression(3 * p // 2, 5, 6, 10_000)
+    n, e = p * q, 65537
+    return keyfile.KeyPair(
+        variant="standard",
+        k=512,
+        gamma=Fraction(9, 10),
+        beta=0.1,
+        e=e,
+        d=pow(e, -1, (p - 1) * (q - 1)),
+        n=n,
+        primes=[p, q],
+        m_modulus=6,
+        residues=[1, 5],
+        inner_primes=None,
+        entropy_report={},
+        seed=bytes(32),
+    )
+
+
+@pytest.mark.parametrize(
+    "variant, failure",
+    [
+        ("standard", "prime pair violates entropy budget"),
+        ("multiprime", "multiprime key must hold at least three primes"),
+    ],
+)
+def test_verify_fails_an_over_budget_pair_under_either_label(variant, failure, tmp_path, capsys):
+    kp = _wide_pair_key()
+    kp.variant = variant
+    key = tmp_path / "key.json"
+    key.write_bytes(keyfile.document_to_bytes(keyfile.keypair_to_document(kp)))
+    code, _, err = run(capsys, "verify", str(key))
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert err == f"FAIL: {failure}\n"
+
+
+def test_verify_rejects_a_multiprime_key_labelled_standard(tmp_path, capsys):
+    doc = json.loads((DATA / "keys" / "keygen-multi-m4-k1024-seed00.json").read_text())
+    doc["variant"] = "standard"
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(key))
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert "FAIL: standard key must hold exactly two primes" in err.splitlines()

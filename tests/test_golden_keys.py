@@ -2,9 +2,10 @@
 
 Each file in tests/data/keys/ was written by the CLI, e.g.
 `proxrsa keygen --k 512 --gamma 1/4 --insecure-small --seed 00..00 -o ...`.
-Every case regenerates its key in process and compares the serialized
-bytes.  The k = 2048 cases and keygen at k = 3072 are the size ladder:
-each runs under a wall-clock bound.
+Every case regenerates its key in process, compares the serialized
+bytes, and reads the file back as the same key record.  The k = 2048
+cases and keygen at k = 3072 are the size ladder: each runs under a
+wall-clock bound.
 """
 
 from fractions import Fraction
@@ -57,6 +58,7 @@ def test_golden_key_bytes(name, variant, k, seed_byte, gamma, extra, bound, wall
         kp = _generate(variant, k, seed_byte, gamma, extra)
     data = keyfile.document_to_bytes(keyfile.keypair_to_document(kp))
     assert data == (KEYS / name).read_bytes()
+    assert keyfile.read_key_file(KEYS / name) == kp
 
 
 def test_keygen_3072_ends(wall_clock):
