@@ -116,10 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fermat-budget", type=int, default=1 << 30)
     p.add_argument("-o", "--out", type=str, default=None)
 
+    q_help = "register size: a power of two, at most 2^512 (default: the first >= N^2)"
     p = sub.add_parser("shor-sim", help="exact measurement statistics for a toy modulus")
     p.add_argument("--N", type=int, required=True, dest="modulus")
     p.add_argument("--a", type=int, default=None, help="base; omit to sweep")
-    p.add_argument("--Q", type=int, default=None, dest="q_size")
+    p.add_argument("--Q", type=int, default=None, dest="q_size", help=q_help)
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--sweep", type=int, default=20, help="bases to sample when --a is omitted")
     p.add_argument("--seed", type=str, default="00" * 32, help="seed for the base sweep")
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True, help="closeness threshold on delta")
-    p.add_argument("--Q", type=int, default=None, dest="q_size")
+    p.add_argument("--Q", type=int, default=None, dest="q_size", help=q_help)
     p.add_argument("--bases", type=int, default=20)
     p.add_argument("--seed", type=str, default="00" * 32)
     p.add_argument("-o", "--out", type=str, default=None, help="CSV path (summary JSON on stdout)")

@@ -12,32 +12,40 @@ m-prime modulus.
 
 All entropies are in bits (base-2 logarithms).  Real arithmetic runs under
 mpmath at PRECISION_BITS of working precision, well above the 128-bit
-floor the reports promise.  Proximity decisions against a rational gamma
-are made in exact integer arithmetic, never floating point.
+floor the reports promise.  mpmath is imported by the functions that
+compute reals, so it loads on the first real-valued call, not with the
+module: shor_sim uses only the exact predicate and never loads it.
+Proximity decisions against a rational gamma are made in exact integer
+arithmetic, never floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ParameterError
 
+if TYPE_CHECKING:
+    from mpmath import mpf
+
 PRECISION_BITS = 192
 
-Real = Union[int, float, Fraction, mpf]
+Real = Union[int, float, Fraction, "mpf"]
 
 
 def _to_mpf(x: Real) -> mpf:
+    from mpmath import mpf
+
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
     return mpf(x)
 
 
 def _log2(x: mpf) -> mpf:
+    from mpmath import mp
+
     return mp.log(x, 2)
 
 
@@ -60,6 +68,8 @@ class EntropyReport:
     constraint_ok: bool
 
     def to_dict(self) -> dict:
+        from mpmath import mp
+
         def fmt(x: Optional[mpf]) -> Optional[str]:
             return None if x is None else mp.nstr(x, 30, strip_zeros=True)
 
@@ -75,6 +85,8 @@ class EntropyReport:
 
 def proximity_delta(p: int, q: int) -> mpf:
     """Normalized gap |p - q| / sqrt(p*q) for distinct integers >= 2."""
+    from mpmath import mp, mpf
+
     if p < 2 or q < 2:
         raise ParameterError("inputs must be >= 2")
     if p == q:
@@ -85,6 +97,8 @@ def proximity_delta(p: int, q: int) -> mpf:
 
 def purity_lower(delta: Real) -> mpf:
     """Two-eigenvalue purity floor (1 + sqrt(1 - 4d^2/(2+d)^2)) / 2 on [0, 2]."""
+    from mpmath import mp
+
     with mp.workprec(PRECISION_BITS):
         d = _to_mpf(delta)
         if d < 0 or d > 2:
@@ -95,6 +109,8 @@ def purity_lower(delta: Real) -> mpf:
 
 def h2_from_delta(delta: Real) -> mpf:
     """Collision entropy -log2(purity) of the two-eigenvalue model, in bits."""
+    from mpmath import mp
+
     with mp.workprec(PRECISION_BITS):
         return -_log2(purity_lower(delta))
 
@@ -106,6 +122,8 @@ def h2_estimate(p: int, q: int) -> mpf:
 
 def h2_upper_bound(gamma: Real) -> mpf:
     """Closed-form entropy cap 2*log2(1 + gamma/2) for gamma >= 0."""
+    from mpmath import mp
+
     with mp.workprec(PRECISION_BITS):
         g = _to_mpf(gamma)
         if g < 0:
@@ -115,6 +133,8 @@ def h2_upper_bound(gamma: Real) -> mpf:
 
 def multiprime_h2_bound(m: int, gamma: Real) -> mpf:
     """Entropy cap log2(m) + 2*log2(1 + gamma/2) for an m-prime modulus."""
+    from mpmath import mp, mpf
+
     if m < 2:
         raise ParameterError("m must be >= 2")
     with mp.workprec(PRECISION_BITS):
@@ -127,6 +147,8 @@ def renyi_entropy(eigenvalues, alpha: Real) -> mpf:
     Takes any normalized spectrum (sum within 1e-9 of 1); alpha > 0 and
     alpha != 1.  The collision case alpha = 2 reproduces -log2(sum li^2).
     """
+    from mpmath import mp, mpf
+
     with mp.workprec(PRECISION_BITS):
         a = _to_mpf(alpha)
         if a <= 0:
@@ -148,6 +170,8 @@ def model_eigenvalues(delta: Real) -> tuple[mpf, mpf]:
     With radicand R = 1 - 4d^2/(2+d)^2 the eigenvalues are (1 +- R^(1/4))/2:
     their squares sum to (1 + sqrt(R))/2, exactly purity_lower(delta).
     """
+    from mpmath import mp, mpf
+
     with mp.workprec(PRECISION_BITS):
         d = _to_mpf(delta)
         if d < 0 or d > 2:
@@ -169,6 +193,8 @@ def proximity_holds_exact(p: int, q: int, gamma: Fraction) -> bool:
 
 def entropy_budget_bits(gamma: Fraction, beta: float) -> mpf:
     """Generation threshold beta * log2(1/gamma)."""
+    from mpmath import mp
+
     with mp.workprec(PRECISION_BITS):
         return _to_mpf(beta) * _log2(1 / _to_mpf(gamma))
 
@@ -181,6 +207,8 @@ def check_entropy_constraint(
     gamma must lie in (0, 1) and beta in (0, 1).  The report carries every
     intermediate value so callers can embed it as-is.
     """
+    from mpmath import mp
+
     if not isinstance(gamma, Fraction):
         gamma = Fraction(gamma)
     if not 0 < gamma < 1:

@@ -115,8 +115,20 @@ _FIELD_TYPES = {
     "M": str,
     "residues": list,
     "inner_primes": (list, type(None)),
-    "entropy_report": (dict, type(None)),
+    "entropy_report": dict,
     "seed": str,
+}
+
+
+# JSON type of each entropy report field: five decimals, a string or null
+# where no value applies, and the verdict.
+_REPORT_TYPES = {
+    "delta": (str, type(None)),
+    "purity_lower": (str, type(None)),
+    "h2_estimate_bits": (str, type(None)),
+    "h2_bound_bits": (str, type(None)),
+    "budget_bits": (str, type(None)),
+    "constraint_ok": bool,
 }
 
 
@@ -129,6 +141,16 @@ def load_key_document(doc: dict) -> KeyPair:
             raise ParameterError(
                 f"malformed key document: {name} has the wrong type ({type(value).__name__})"
             )
+    report = doc.get("entropy_report")
+    if (
+        report is None
+        or report.keys() != _REPORT_TYPES.keys()
+        or not all(isinstance(report[name], types) for name, types in _REPORT_TYPES.items())
+    ):
+        raise ParameterError(
+            f"malformed key document: entropy_report must hold exactly {list(_REPORT_TYPES)}"
+            " as in docs/key-schema.json"
+        )
     try:
         seed_hex = doc["seed"]
         if not seed_hex.startswith("0x"):
@@ -149,7 +171,7 @@ def load_key_document(doc: dict) -> KeyPair:
             m_modulus=_unhex(doc["M"]),
             residues=[_unhex(r) for r in doc["residues"]],
             inner_primes=[_unhex(p) for p in inner] if inner else None,
-            entropy_report=doc.get("entropy_report") or {},
+            entropy_report=report,
             seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:

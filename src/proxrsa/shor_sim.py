@@ -26,7 +26,9 @@ that is 2*|y*r - c*Q| <= r: only a y within 1/2 of some c*Q/r (0 <= c < r)
 can succeed.  Each c has one such y, or two at an exact tie, so about r
 candidates are scored with the closed form, in increasing y.  That sum
 equals the full sum over all Q outcomes, which keeps Q = N^2 tractable at
-any toy size.
+any toy size.  The closed form depends on y only through t = r*y mod Q,
+and takes the same value at t and Q - t, so it depends on a candidate
+only through |y*r - c*Q| <= r/2, and each distinct value is scored once.
 
 When Q >= N^2 (the default Q), no continued fraction runs: the candidates
 for c recover rhat = r/gcd(c, r), the denominator of c/r in lowest terms,
@@ -41,8 +43,13 @@ divide r: h/k would be a second multiple of 1/r within 1/Q of c/r, so
 it does not lift either.  A user's Q below N^2 keeps recover_period.  The
 terms and their order are the same either way, so every float is too.
 
-numpy is loaded only by measurement_distribution (the full vector);
-compare_moduli takes its prime band, below 2^12, from the bytearray sieve.
+numpy is loaded only by measurement_distribution (the full vector), and
+mpmath not at all: compare_moduli takes its prime band, below 2^12, from
+the bytearray sieve, decides closeness with the exact integer predicate
+and rounds the CSV delta from an integer square root.  The sines run
+once per distinct |y*r - c*Q| of an order, not once per candidate.  Q is
+capped at MAX_Q = 2^512, where Q*ceil(Q/r) still fits a float for every
+r > 1.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ if TYPE_CHECKING:
 
 MAX_TOY_MODULUS = 1 << 20
 MAX_DENSE_Q = 1 << 22
+MAX_Q = 1 << 512
 
 
 @dataclass
@@ -163,6 +171,8 @@ def circuit_order_estimates(n: int) -> dict:
 def _check_q(q_size: int) -> None:
     if q_size < 1 or q_size & (q_size - 1):
         raise ParameterError(f"Q must be a power of two: {q_size}")
+    if q_size > MAX_Q:
+        raise ParameterError(f"Q must be at most 2^512: 2^{q_size.bit_length() - 1}")
 
 
 def _prob_at(y: int, r: int, q_size: int) -> float:
@@ -171,7 +181,9 @@ def _prob_at(y: int, r: int, q_size: int) -> float:
     Both sine arguments are folded into [0, Q/2] in integers: |sin(pi*x)|
     has period 1 and is symmetric about 1/2, so the argument never leaves
     [0, pi/2] and float sin keeps full relative precision even when Q is
-    2^40.
+    2^40.  After the fold the value depends on y only through
+    min(t, Q - t), t = r*y mod Q, so two y with equal folds get the same
+    float.
     """
     m = -(-q_size // r)
     t = r * y % q_size
@@ -249,14 +261,6 @@ def recover_period(y: int, q_size: int, n: int) -> Optional[int]:
     return None
 
 
-def _candidate_groups(r: int, q_size: int):
-    """(c, ys) for c in [0, r): the one or two y with 2*|y*r - c*Q| <= r, ascending."""
-    for c in range(r):
-        y, rem = divmod(c * q_size, r)
-        twice = 2 * rem
-        yield c, ((y,) if twice < r else (y + 1,) if twice > r else (y, y + 1))
-
-
 def _lifts_to(r_hat: int, r: int, n: int) -> bool:
     """Whether the small-factor refinement turns r_hat into the order r.
 
@@ -275,25 +279,49 @@ def success_probabilities(n: int, r: int, q_size: int) -> tuple[float, float]:
     counts rhat | r with r/rhat <= floor(log2 n), the multiples the
     small-factor refinement lifts to r (module docstring).  Both sums add
     their terms in increasing y.  rhat comes from the closed form
-    r/gcd(c, r) when Q >= n^2, and from recover_period otherwise.
+    r/gcd(c, r) when Q >= n^2, decided before any float work, and from
+    recover_period otherwise.  One pass over c advances
+    (y, rem) = divmod(c*Q, r); the candidates for c are y (at distance
+    rem from c*Q/r) and y + 1 (at distance r - rem), and each distance is
+    scored by _prob_at once.
     """
     _check_q(q_size)
     if not 1 <= r <= q_size:
         raise ParameterError(f"Q = {q_size} cannot resolve period {r}")
     closed = q_size >= n * n
+    bits = n.bit_length()
+    step_y, step_rem = divmod(q_size, r)
+    y, rem = -step_y, -step_rem  # divmod(c*Q, r) after the step at the top of the loop
+    by_distance: dict[int, float] = {}
     plain = refined = 0.0
-    for c, ys in _candidate_groups(r, q_size):
+    for c in range(r):
+        y += step_y
+        rem += step_rem
+        if rem >= r:
+            y += 1
+            rem -= r
         if closed:
-            # Every candidate for c recovers c/r in lowest terms (module docstring).
-            r_hat = r // math.gcd(c, r)
-            if not 1 < r_hat < n or not _lifts_to(r_hat, r, n):
+            # Every candidate for c recovers c/r in lowest terms, r_hat = r/g
+            # (module docstring); r_hat divides r, so _lifts_to is g < bits.
+            g = math.gcd(c, r)
+            r_hat = r // g
+            if g >= bits or not 1 < r_hat < n:
                 continue
-        for y in ys:
+        twice = 2 * rem
+        if twice < r:
+            candidates = ((y, rem),)
+        elif twice > r:
+            candidates = ((y + 1, r - rem),)
+        else:
+            candidates = ((y, rem), (y + 1, rem))
+        for y_c, distance in candidates:
             if not closed:
-                r_hat = recover_period(y, q_size, n)
+                r_hat = recover_period(y_c, q_size, n)
                 if r_hat is None or not _lifts_to(r_hat, r, n):
                     continue
-            prob = _prob_at(y, r, q_size)
+            prob = by_distance.get(distance)
+            if prob is None:
+                prob = by_distance[distance] = _prob_at(y_c, r, q_size)
             refined += prob
             if r_hat == r:
                 plain += prob
@@ -362,6 +390,22 @@ def _sample_indices(stream: SeedStream, size: int, count: int) -> list[int]:
     return chosen
 
 
+def _delta_float(p: int, q: int) -> float:
+    """float(entropy.proximity_delta(p, q)), |p - q|/sqrt(p*q) rounded once, without mpmath.
+
+    a = isqrt(gap^2 * 4^k // (p*q)) is floor(delta * 2^k), so delta lies in
+    [a, a + 1) / 2^k, and at a only when the root is exact.  a has over 64
+    bits, so no rounding boundary of a double falls inside (a, a + 1), and
+    the correctly rounded quotient (a + 1/2) / 2^k, or a / 2^k when exact,
+    rounds to the same double as delta.
+    """
+    gap, pq = abs(p - q), p * q
+    k = pq.bit_length() + 64
+    scaled = gap * gap << 2 * k
+    a = math.isqrt(scaled // pq)
+    return (2 * a + (a * a * pq != scaled)) / (1 << (k + 1))
+
+
 def compare_moduli(
     bit_size: int,
     n_pairs: int,
@@ -398,7 +442,7 @@ def compare_moduli(
                 continue
             if n.bit_length() > bit_size:
                 break
-            candidates.append((p, q, float(entropy.proximity_delta(p, q))))
+            candidates.append((p, q, _delta_float(p, q)))
 
     close_pool = [c for c in candidates if entropy.proximity_holds_exact(c[0], c[1], close_gamma)]
     by_delta = sorted(candidates, key=lambda c: c[2])

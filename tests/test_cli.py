@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from proxrsa import cli, keyfile, numerics
+from proxrsa import cli, entropy, keyfile, numerics
 
 ZEROS = "00" * 32
 DATA = pathlib.Path(__file__).parent / "data"
@@ -210,7 +213,23 @@ def test_shor_compare_never_imports_numpy(cli_probe):
         ]
     )
     assert report["codes"] == [cli.EXIT_OK] * 2
-    assert not report["numpy"]
+    assert not report["numpy"] and not report["mpmath"]
+
+
+def test_shor_sim_loads_neither_numpy_nor_mpmath(cli_probe):
+    _, report = cli_probe([["shor-sim", "--N", "2047", "--a", "2"], ["shor-sim", "--N", "221"]])
+    assert report["codes"] == [cli.EXIT_OK] * 2
+    assert not report["numpy"] and not report["mpmath"]
+
+
+def test_importing_entropy_leaves_mpmath_unloaded():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, proxrsa.entropy; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_census_loads_neither_numpy_nor_mpmath(cli_probe):
@@ -550,6 +569,36 @@ def test_malformed_key_document_ends_with_its_exit_code(command, fields, code, t
     assert "Traceback" not in result.stderr
 
 
+# entropy_report edits on a valid key document: the schema's six fields, exactly
+REPORT_EDITS = {
+    "null": lambda report: None,
+    "empty": lambda report: {},
+    "without-delta": lambda report: {k: v for k, v in report.items() if k != "delta"},
+    "extra-field": lambda report: {**report, "note": "0.5"},
+    "numeric-delta": lambda report: {**report, "delta": 0.5},
+    "string-verdict": lambda report: {**report, "constraint_ok": "true"},
+}
+
+
+@pytest.mark.parametrize("edit", REPORT_EDITS.values(), ids=REPORT_EDITS.keys())
+def test_verify_rejects_an_entropy_report_outside_the_schema(edit, tmp_path, capsys):
+    doc = json.loads((DATA / "keys" / "keygen-k512-seed00.json").read_text())
+    doc["entropy_report"] = edit(doc["entropy_report"])
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(key))
+    assert code == cli.EXIT_BAD_PARAMS
+    assert err.startswith("error: malformed key document: ")
+
+
+def test_verify_accepts_a_null_decimal_in_the_entropy_report(tmp_path, capsys):
+    doc = json.loads((DATA / "keys" / "keygen-k512-seed00.json").read_text())
+    doc["entropy_report"]["budget_bits"] = None
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(key))[0] == cli.EXIT_OK
+
+
 def test_verify_rejects_a_prime_congruence_modulus(tmp_path, capsys, cli_process):
     key = tmp_path / "key.json"
     run(capsys, *keygen_args(key))
@@ -600,7 +649,7 @@ def _wide_pair_key():
         m_modulus=6,
         residues=[1, 5],
         inner_primes=None,
-        entropy_report={},
+        entropy_report=entropy.check_entropy_constraint(p, q, Fraction(9, 10), 0.1)[1].to_dict(),
         seed=bytes(32),
     )
 

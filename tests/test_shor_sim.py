@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from proxrsa import cli, shor_sim
+from proxrsa import cli, entropy, shor_sim
 from proxrsa.errors import NumericalError, ParameterError, ProxRsaError
-from proxrsa.numerics import SeedStream
+from proxrsa.numerics import SeedStream, sieve_range
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -65,9 +65,17 @@ def order_by_multiplication(a, n):
     return r
 
 
+def candidate_groups(r, q_size):
+    """(c, ys) for c in [0, r): the one or two y with 2*|y*r - c*Q| <= r, ascending."""
+    for c in range(r):
+        y, rem = divmod(c * q_size, r)
+        twice = 2 * rem
+        yield c, ((y,) if twice < r else (y + 1,) if twice > r else (y, y + 1))
+
+
 def candidates(r, q_size):
-    """Every y that _candidate_groups scores, in its order."""
-    return [y for _, ys in shor_sim._candidate_groups(r, q_size) for y in ys]
+    """Every y that candidate_groups scores, in its order."""
+    return [y for _, ys in candidate_groups(r, q_size) for y in ys]
 
 
 def success_by_continued_fraction(n, r, q_size):
@@ -395,6 +403,35 @@ def test_default_q_is_first_power_of_two_at_or_above_n_squared():
     assert shor_sim.default_q(15) == 256
     assert shor_sim.default_q(16) == 256
     assert shor_sim.default_q(17) == 512
+
+
+def test_q_is_capped_at_two_to_the_512(cli_process):
+    """Q*ceil(Q/r) still fits a float at Q = 2^512 for every r > 1 (r = 1
+    scores only the exact peak); one doubling more overflowed the closed
+    form with a traceback."""
+    for r in (2, 3, 1000, 65535):
+        plain, refined = shor_sim.success_probabilities((1 << 20) - 1, r, 1 << 512)
+        assert 0.0 <= plain <= refined <= 1.0
+    argv = ["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "2", "--Q"]
+    at_cap = cli_process([*argv, str(1 << 512)], timeout=60)
+    assert at_cap.returncode == cli.EXIT_OK, at_cap.stderr
+    for command in (argv, ["shor-sim", "--N", "21", "--a", "2", "--Q"]):
+        over = cli_process([*command, str(1 << 513)], timeout=60)
+        assert over.returncode == cli.EXIT_BAD_PARAMS
+        assert over.stderr == "error: Q must be at most 2^512: 2^513\n"
+
+
+def test_delta_is_the_double_of_the_mpmath_delta():
+    """Every pair compare_moduli can draw is p < q below 2^12 with an 8- to
+    20-bit product; on each, the CSV delta is float(proximity_delta)."""
+    primes = sieve_range(2, 1 << 12)
+    pairs = [
+        (p, q) for i, p in enumerate(primes) for q in primes[i + 1 :] if 8 <= (p * q).bit_length() <= 20
+    ]
+    assert len(pairs) == 50_150
+    assert [shor_sim._delta_float(p, q) for p, q in pairs] == [
+        float(entropy.proximity_delta(p, q)) for p, q in pairs
+    ]
 
 
 def test_prob_at_large_q_keeps_precision():
