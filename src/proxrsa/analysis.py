@@ -27,9 +27,8 @@ integers, and mpmath at the requested precision decides it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
 
@@ -59,8 +58,7 @@ _SURD_COS = {
 }
 
 
-@dataclass
-class QuantumReport:
+class QuantumReport(NamedTuple):
     """Order estimates and exact quantities for one prime pair."""
 
     angular_separation: Fraction
@@ -96,8 +94,7 @@ GNFS_COST_SYMBOLIC = "L_N[1/3, cbrt(64/9)]"
 ECM_COST_SYMBOLIC = "exp((sqrt(2) + o(1)) * sqrt(ln p * ln ln p))"
 
 
-@dataclass
-class ClassicalReport:
+class ClassicalReport(NamedTuple):
     """Classical attack posture; Fermat fields are None for multi-prime keys."""
 
     wiener_safe: bool
@@ -120,15 +117,13 @@ class ClassicalReport:
         }
 
 
-@dataclass
-class FermatResult:
+class FermatResult(NamedTuple):
     found: bool
     iterations: int
     factors: Optional[tuple[int, int]] = None
 
 
-@dataclass
-class LatticeEmbedding:
+class LatticeEmbedding(NamedTuple):
     n: int
     m_root: int
     coefficients: list[int]

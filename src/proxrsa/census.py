@@ -34,9 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParameterError, RangeTooLargeError
 from .numerics import _base_primes, _odd_mask, _zero_buffer
@@ -46,8 +45,7 @@ _MAX_HI = 1 << 40
 _MAX_PROGRESSION_SPAN = 1 << 26
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     range_lo: int
     range_hi: int
     gamma: Fraction
@@ -64,7 +62,7 @@ class CensusReport:
 
     def to_dict(self) -> dict:
         """The report's fields in schema order, gamma written as "num/den"."""
-        return dict(asdict(self), gamma=f"{self.gamma.numerator}/{self.gamma.denominator}")
+        return dict(self._asdict(), gamma=f"{self.gamma.numerator}/{self.gamma.denominator}")
 
 
 def _check_range(lo: int, hi: int) -> None:

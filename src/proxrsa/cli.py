@@ -14,8 +14,6 @@ ambient randomness anywhere.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -69,6 +67,8 @@ def _json_text(doc) -> str:
 
 
 def _csv_text(rows) -> str:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
@@ -297,7 +297,7 @@ def _cmd_shor_compare(args) -> int:
     report = shor_sim.compare_moduli(
         args.bits, args.pairs, args.gamma, stream, args.q_size, args.bases
     )
-    rows = [COMPARE_CSV_COLUMNS, *map(dataclasses.astuple, report.rows)]
+    rows = [COMPARE_CSV_COLUMNS, *report.rows]
     _emit(_csv_text(rows), args.out)
     if args.out is not None:
         summary = {

@@ -21,9 +21,8 @@ arithmetic, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .errors import ParameterError
 
@@ -49,8 +48,7 @@ def _log2(x: mpf) -> mpf:
     return mp.log(x, 2)
 
 
-@dataclass
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Modeled entropy data for one key's prime set.
 
     delta is the realized normalized gap (max over pairs for multi-prime),

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParameterError
 
@@ -25,13 +23,14 @@ def _unhex(s: str) -> int:
     return int(s, 16)
 
 
-@dataclass
-class KeyPair:
+class KeyPair(NamedTuple):
     """One key: what a generator returns and what a key file holds.
 
     gamma is the resolved proximity bound and entropy_report the
     generator's report as the file stores it.  No key invariant is checked
     here; validate.validate_key re-derives them from the raw integers.
+    The record is an immutable tuple: kp._replace(variant=...) makes an
+    edited copy.
     """
 
     variant: str  # standard | multiprime | compatible
@@ -90,6 +89,8 @@ def document_to_bytes(doc: dict) -> bytes:
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Atomic write: temp file in the target directory, then rename."""
+    import tempfile  # with shutil and random, only for commands that write
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:

@@ -34,9 +34,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import numerics
 from .entropy import (
@@ -63,8 +62,7 @@ def default_gamma(k: int, epsilon: float) -> Fraction:
     return Fraction(float(k) ** (-0.5 + epsilon)).limit_denominator(1 << 32)
 
 
-@dataclass(frozen=True)
-class KeyGenParams:
+class KeyGenParams(NamedTuple):
     """All tunables of the generation pipeline.
 
     gamma=None selects the k^(-1/2+epsilon) default; ell=None selects

@@ -9,15 +9,14 @@ reproduce identical results bit for bit.  The range sieve
 (:func:`sieve_range` and the census's segment sieve) marks the odd
 numbers of a window in a ``bytearray``, one byte each, and crosses off
 multiples with slices of one shared zero buffer; the module needs
-nothing outside the standard library.
+nothing outside the standard library, and hashlib loads with the first
+stream, so a sieve-only caller never imports it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ParameterError,
@@ -48,7 +47,6 @@ _SMALL_PRIME_SET = set(_SMALL_PRIMES)
 _SMALL_PRIME_LIMIT = 2048 * 2048
 
 
-@dataclass
 class SeedStream:
     """Deterministic byte stream: block i = SHA-256(seed || i as 8-byte BE).
 
@@ -56,19 +54,21 @@ class SeedStream:
     64-bit and overflow raises rather than wrapping.
     """
 
-    seed: bytes
-    counter: int = 0
+    def __init__(self, seed: bytes, counter: int = 0) -> None:
+        from hashlib import sha256
 
-    def __post_init__(self) -> None:
-        if len(self.seed) != 32:
+        if len(seed) != 32:
             raise ParameterError("seed must be exactly 32 bytes")
-        if not 0 <= self.counter < _MAX_COUNTER:
+        if not 0 <= counter < _MAX_COUNTER:
             raise ParameterError("counter out of 64-bit range")
+        self.seed = seed
+        self.counter = counter
+        self._sha256 = sha256
 
     def block(self) -> bytes:
         if self.counter >= _MAX_COUNTER:
             raise StreamExhaustedError("seed stream counter overflow")
-        digest = hashlib.sha256(self.seed + self.counter.to_bytes(8, "big")).digest()
+        digest = self._sha256(self.seed + self.counter.to_bytes(8, "big")).digest()
         self.counter += 1
         return digest
 
@@ -109,9 +109,11 @@ def mod_pow(base: int, exponent: int, modulus: int) -> int:
 
 
 def _mr_base_stream(n: int) -> SeedStream:
+    from hashlib import sha256
+
     # Bases are derived from n itself so the test is a pure function of n.
     material = b"miller-rabin-bases:" + n.to_bytes((n.bit_length() + 7) // 8, "big")
-    return SeedStream(hashlib.sha256(material).digest())
+    return SeedStream(sha256(material).digest())
 
 
 def is_probable_prime(n: int, rounds: int = 64) -> bool:
@@ -211,7 +213,9 @@ def _segment_primes(lo: int, hi: int, base_primes: list[int]) -> list[int]:
 def _zero_buffer(span: int) -> memoryview:
     """One 1 byte and then enough zero bytes for _odd_mask and for a
     zero-run needle over any window of at most span + 1 numbers."""
-    return memoryview(b"\x01" + bytes(span // 2 + 1))
+    buffer = bytearray(span // 2 + 2)
+    buffer[0] = 1
+    return memoryview(buffer)
 
 
 def _odd_mask(lo: int, hi: int, base_primes: list[int], buffer: memoryview) -> bytearray:

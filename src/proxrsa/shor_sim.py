@@ -55,9 +55,8 @@ r > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import entropy, numerics
 from .errors import NumericalError, ParameterError
@@ -71,8 +70,7 @@ MAX_DENSE_Q = 1 << 22
 MAX_Q = 1 << 512
 
 
-@dataclass
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One shor-compare CSV row; the fields are its columns, in order."""
 
     group: str
@@ -86,13 +84,12 @@ class ComparisonRow:
     mean_success_prob_refined: float
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     bit_size: int
     gamma_close: float
     q_size: Optional[int]
     bases_per_modulus: int
-    rows: list[ComparisonRow] = field(default_factory=list)
+    rows: list[ComparisonRow]
 
     def group_summary(self) -> dict:
         out = {}
@@ -458,6 +455,7 @@ def compare_moduli(
         gamma_close=gamma_close,
         q_size=q_size,
         bases_per_modulus=bases_per_modulus,
+        rows=[],
     )
     for group, pool in (("close", close_pool), ("control", control_pool)):
         picks = _sample_indices(stream, len(pool), n_pairs)

@@ -4,20 +4,21 @@ Re-derives every invariant from the raw integers of a key record.  The
 checks here neither call nor import keygen, numerics or entropy (the
 record itself comes from keyfile): the primality test uses fixed prime
 bases instead of per-candidate streams, exponent and proximity checks are
-exact integer comparisons written out inline, and the entropy constraint
-is re-evaluated from scratch with mpmath.  A bug in the generation path
-therefore cannot hide itself.
+exact integer comparisons written out inline, and the entropy budget is
+decided exactly from its own closed form: decimal brackets of the
+threshold, compared in integers against the primes.  A bug in the
+generation path therefore cannot hide itself.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
 from typing import Optional
 
-from mpmath import mp, mpf
-
+from .errors import NumericalError
 from .keyfile import KeyPair
 
 _VALIDATOR_BASES = [
@@ -66,14 +67,70 @@ def _pairwise_proximity_ok(primes: list[int], gamma: Fraction) -> bool:
     )
 
 
+# Significant digits of each try at bracketing the entropy budget; a pair
+# the last try cannot place ends the check with NumericalError.
+_BUDGET_DIGITS = (40, 160, 640, 2560)
+
+
 def _entropy_constraint_ok(p: int, q: int, gamma: Fraction, beta: float) -> bool:
-    # delta < gamma is already checked exactly; here only the H2 budget.
-    with mp.workprec(192):
-        delta = mpf(abs(p - q)) / mp.sqrt(mpf(p) * mpf(q))
-        purity = (1 + mp.sqrt(1 - 4 * delta**2 / (2 + delta) ** 2)) / 2
-        h2 = -mp.log(purity, 2)
-        budget = mpf(beta) * mp.log(mpf(gamma.denominator) / mpf(gamma.numerator), 2)
-        return h2 < budget
+    """H2 < beta*log2(1/gamma), decided exactly; delta < gamma is checked apart.
+
+    H2 = -log2(purity), purity = (1 + sqrt(1 - 4*d^2/(2 + d)^2))/2 with
+    d = |p - q|/sqrt(p*q), so the budget holds iff purity > x = gamma^beta.
+    For d < 2 purity lies in (1/2, 1]: the budget always holds when
+    x <= 1/2 and never when x >= 1 (beta <= 0, or NaN).  In between it
+    holds iff d < d* = 2w/(2 - w) with w = sqrt(1 - s^2), s = 2x - 1, that
+    is iff (p - q)^2 < d*^2 * p*q.  Both ends of a decimal bracket of d*^2
+    are compared against that in integers; a bracket that holds the pair
+    is retried with more digits.
+    """
+    if not beta > 0:
+        return False
+    gap2, pq = (p - q) ** 2, p * q
+    for digits in _BUDGET_DIGITS:
+        down = decimal.Context(prec=digits, rounding=decimal.ROUND_FLOOR)
+        up = decimal.Context(prec=digits, rounding=decimal.ROUND_CEILING)
+        x_high = _gamma_power(gamma, beta, up)
+        if x_high <= decimal.Decimal("0.5"):
+            return True
+        num, den = _threshold_squared(x_high, down, up).as_integer_ratio()
+        if gap2 * den < num * pq:
+            return True
+        num, den = _threshold_squared(_gamma_power(gamma, beta, down), up, down).as_integer_ratio()
+        if gap2 * den >= num * pq:
+            return False
+    raise NumericalError(f"entropy budget undecided at {_BUDGET_DIGITS[-1]} digits")
+
+
+def _outward(ctx: decimal.Context, value: decimal.Decimal) -> decimal.Decimal:
+    """value, a correctly rounded ln, exp or sqrt, moved one unit in the
+    last place in ctx's direction: a bound of the exact result."""
+    return ctx.next_minus(value) if ctx.rounding == decimal.ROUND_FLOOR else ctx.next_plus(value)
+
+
+def _gamma_power(gamma: Fraction, beta: float, ctx: decimal.Context) -> decimal.Decimal:
+    """x = gamma^beta = exp(beta*ln(gamma)) for beta > 0, bounded in ctx's
+    direction: every step is increasing in the one before."""
+    log = _outward(ctx, ctx.ln(ctx.divide(gamma.numerator, gamma.denominator)))
+    return _outward(ctx, ctx.exp(ctx.multiply(decimal.Decimal(beta), log)))
+
+
+def _threshold_squared(
+    x: decimal.Decimal, toward: decimal.Context, away: decimal.Context
+) -> decimal.Decimal:
+    """d*^2 = 4w^2/(2 - w)^2, bounded in toward's direction, from a bound x
+    of gamma^beta in away's.
+
+    d*^2 falls as s = 2x - 1 rises, so x and s are bounded the other way.
+    A negative s is raised to 0, where d* = 2 exceeds every d below gamma
+    as it should; a negative w^2 (an x of 1 or more) is raised to 0, where
+    no gap passes.
+    """
+    s = max(away.subtract(away.multiply(2, x), 1), 0)
+    w2 = max(toward.subtract(1, away.multiply(s, s)), 0)
+    w = max(_outward(toward, toward.sqrt(w2)), 0)
+    gap = away.subtract(2, w)
+    return toward.divide(toward.multiply(4, w2), away.multiply(gap, gap))
 
 
 def _primorial_factors(m: int) -> Optional[list[int]]:

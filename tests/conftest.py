@@ -55,6 +55,7 @@ def cli_process():
 
 _PROBE = """
 import json, sys
+before = set(sys.modules)
 from proxrsa import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 with open("/proc/self/status") as status:
@@ -64,6 +65,10 @@ report = {
     "numpy": "numpy" in sys.modules,
     "mpmath": "mpmath" in sys.modules,
     "modules": sorted(name for name in sys.modules if name.startswith("proxrsa.")),
+    "stdlib": sorted(
+        name for name in set(sys.modules) - before
+        if name.partition(".")[0] in sys.stdlib_module_names
+    ),
     "vmhwm_kb": hwm,
 }
 print(json.dumps(report), file=sys.stderr)
@@ -76,9 +81,11 @@ def cli_probe():
 
     Returns (stdout, report); report holds the exit codes, whether numpy
     and mpmath were imported, the proxrsa submodules loaded (as
-    "proxrsa.census" and so on), and the interpreter's own peak RSS in kB
-    (VmHWM).  Unlike ru_maxrss, VmHWM does not start from the high-water
-    mark of the parent process that started the child.
+    "proxrsa.census" and so on), the standard-library modules the program
+    loaded beyond the probe's own imports (as "csv", "decimal" and so
+    on), and the interpreter's own peak RSS in kB (VmHWM).  Unlike
+    ru_maxrss, VmHWM does not start from the high-water mark of the parent
+    process that started the child.
     """
 
     def run(argvs):

@@ -242,6 +242,37 @@ def test_census_loads_neither_numpy_nor_mpmath(cli_probe):
     assert report["codes"] == [cli.EXIT_OK] * 2
     assert not report["numpy"] and not report["mpmath"]
     assert not {"proxrsa.keygen", "proxrsa.entropy"} & set(report["modules"])
+    assert not {"hashlib", "csv", "tempfile"} & set(report["stdlib"])
+    # the probe does see a module the command loads: csv output needs csv
+    _, report = cli_probe([["census", "--lo", "1000", "--hi", "5000", "--gamma", "1/2", "--format", "csv"]])
+    assert report["codes"] == [cli.EXIT_OK]
+    assert "csv" in report["stdlib"] and "hashlib" not in report["stdlib"]
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, cli_probe):
+    key = tmp_path / "key.json"
+    _, report = cli_probe(
+        [
+            keygen_args(key),
+            ["keygen-multi", "--k", "192", "--m", "3", "--gamma", "1/4", "--seed", ZEROS, "--insecure-small"],
+            ["verify", str(key)],
+            ["analyze", str(key)],
+            ["shor-sim", "--N", "221"],
+            ["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "2"],
+            ["census", "--lo", "1000", "--hi", "5000", "--gamma", "1/2", "--format", "csv"],
+            ["census", "--lo", "1000", "--hi", "5000", "--gamma", "1/2", "--mod", "6", "--a", "1", "--b", "5"],
+        ]
+    )
+    assert report["codes"] == [cli.EXIT_OK] * 8
+    assert not {"dataclasses", "inspect"} & set(report["stdlib"])
+
+
+def test_verify_loads_neither_mpmath_nor_numpy(cli_probe):
+    keys = sorted((DATA / "keys").glob("*.json"))
+    assert len(keys) == 9
+    _, report = cli_probe([["verify", str(key)] for key in keys])
+    assert report["codes"] == [cli.EXIT_OK] * 9
+    assert not report["mpmath"] and not report["numpy"]
 
 
 def test_commands_load_only_their_own_modules(tmp_path, cli_probe):
@@ -630,6 +661,17 @@ def test_verify_rejects_beta_and_k_outside_the_schema(fields, failure, tmp_path,
     assert f"FAIL: {failure}" in err.splitlines()
 
 
+@pytest.mark.parametrize("beta", ["0", "5", "-1", "NaN", "Infinity"])
+def test_verify_fails_a_beta_outside_the_unit_interval_without_a_traceback(beta, tmp_path, cli_process):
+    text = (DATA / "keys" / "keygen-k512-seed00.json").read_text()
+    key = tmp_path / "key.json"
+    key.write_text(text.replace('"beta": 0.9,', f'"beta": {beta},'))
+    result = cli_process(["verify", str(key)], timeout=60)
+    assert result.returncode == cli.EXIT_VERIFY_FAILED, result.stderr
+    assert result.stderr.startswith("FAIL: beta outside (0, 1): ")
+    assert "Traceback" not in result.stderr
+
+
 def _wide_pair_key():
     """A two-prime k = 512 key that meets gamma = 9/10 but not its entropy
     budget: q is about 1.5p, so H2 is about 0.0434 bits against a budget
@@ -663,7 +705,7 @@ def _wide_pair_key():
 )
 def test_verify_fails_an_over_budget_pair_under_either_label(variant, failure, tmp_path, capsys):
     kp = _wide_pair_key()
-    kp.variant = variant
+    kp = kp._replace(variant=variant)
     key = tmp_path / "key.json"
     key.write_bytes(keyfile.document_to_bytes(keyfile.keypair_to_document(kp)))
     code, _, err = run(capsys, "verify", str(key))

@@ -1,0 +1,95 @@
+"""The validator's entropy budget, decided exactly, against mpmath oracles."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from proxrsa import validate
+from proxrsa.errors import NumericalError
+
+
+def budget_holds_192(p, q, gamma, beta):
+    """H2 < beta*log2(1/gamma) as the validator once computed it: mpmath at
+    192 bits.  It agrees with the exact gate wherever 192 bits separate the
+    pair from the threshold, which holds one unit away for 64-bit primes."""
+    with mp.workprec(192):
+        delta = mpf(abs(p - q)) / mp.sqrt(mpf(p) * mpf(q))
+        purity = (1 + mp.sqrt(1 - 4 * delta**2 / (2 + delta) ** 2)) / 2
+        h2 = -mp.log(purity, 2)
+        budget = mpf(beta) * mp.log(mpf(gamma.denominator) / mpf(gamma.numerator), 2)
+        return h2 < budget
+
+
+def threshold_gap(p, gamma, beta, bits):
+    """The largest g with H2 < budget at (p, p + g), or None when every gap
+    passes (gamma^beta <= 1/2), from the closed form at `bits` bits.
+
+    The budget holds iff delta < d* = 2w/(2 - w), w = sqrt(1 - (2x - 1)^2),
+    x = gamma^beta, that is iff g^2 < D*p*(p + g) with D = d*^2.
+    """
+    with mp.workprec(bits):
+        x = (mpf(gamma.numerator) / gamma.denominator) ** mpf(beta)
+        if x <= 0.5:
+            return None
+        w = mp.sqrt(1 - (2 * x - 1) ** 2)
+        d2 = (2 * w / (2 - w)) ** 2
+        root = p * (d2 + mp.sqrt(d2 * d2 + 4 * d2)) / 2
+        g = int(mp.ceil(root)) - 1
+        # g passes and g + 1 fails, each by far more than the working precision
+        assert g * g < d2 * p * (p + g) and (g + 1) ** 2 > d2 * p * (p + g + 1)
+        return g
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, (1 << 64) + 13, 3 << 254, (1 << 1023) + 1])
+def test_budget_gate_splits_the_pairs_one_unit_either_side_of_the_threshold(p):
+    gamma, beta = Fraction(9, 10), 0.1  # x = 0.9895..., d* = 0.2266...: the budget binds
+    g = threshold_gap(p, gamma, beta, bits=8192)
+    assert g is not None and 0 < g * 10 < 9 * p  # inside the proximity bound
+    assert validate._entropy_constraint_ok(p, p + g, gamma, beta)
+    assert validate._entropy_constraint_ok(p + g, p, gamma, beta)
+    assert not validate._entropy_constraint_ok(p, p + g + 1, gamma, beta)
+    assert not validate._entropy_constraint_ok(p + g + 1, p, gamma, beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(2, 1 << 64),
+    gamma_num=st.integers(1, 999),
+    beta=st.floats(1e-4, 1 - 1e-9),
+    near=st.booleans(),
+    offset=st.integers(-3, 3),
+    spread=st.floats(0, 1),
+)
+def test_budget_gate_matches_the_192_bit_formula(p, gamma_num, beta, near, offset, spread):
+    gamma = Fraction(gamma_num, 1000)
+    g = threshold_gap(p, gamma, beta, bits=512) if near else None
+    g = int(spread * gamma * p) + 1 if g is None else g + offset
+    q = p + g
+    # the validator asks only about pairs inside the exact proximity bound
+    assume(g > 0 and gamma.denominator**2 * g * g < gamma.numerator**2 * p * q)
+    assert validate._entropy_constraint_ok(p, q, gamma, beta) == budget_holds_192(p, q, gamma, beta)
+
+
+@pytest.mark.parametrize(
+    "beta, holds",
+    [(0.0, False), (-1.0, False), (float("-inf"), False), (float("nan"), False),
+     (5.0, True), (float("inf"), True), (1e308, True), (5e-324, False)],
+)
+def test_budget_gate_takes_any_beta(beta, holds):
+    """Outside (0, 1) the verdict is still that of H2 < beta*log2(1/gamma)."""
+    p, q, gamma = 1000003, 1000033, Fraction(1, 4)
+    assert validate._entropy_constraint_ok(p, q, gamma, beta) is holds
+    if beta == beta:  # mpmath has no verdict to give for NaN
+        assert budget_holds_192(p, q, gamma, beta) is holds
+
+
+def test_budget_gate_raises_when_no_bracket_decides():
+    # 1 - gamma^beta is about 5e-3324, below what 2560 digits resolve, and
+    # the pair's delta^2 of about 1e-2600 lies inside every bracket
+    p = 10**1300
+    gamma = Fraction(10**3000 - 1, 10**3000)
+    with pytest.raises(NumericalError, match="undecided"):
+        validate._entropy_constraint_ok(p, p + 1, gamma, 5e-324)
