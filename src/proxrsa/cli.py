@@ -266,11 +266,11 @@ def _cmd_shor_sim(args) -> int:
             "N": n,
             "Q": q_size,
             "bases": per_base,
-            "mean_success_prob": sum(b["success_prob"] for b in per_base) / len(per_base),
-            "mean_success_prob_refined": sum(b["success_prob_refined"] for b in per_base)
+            "mean_success_prob": math.fsum(b["success_prob"] for b in per_base) / len(per_base),
+            "mean_success_prob_refined": math.fsum(b["success_prob_refined"] for b in per_base)
             / len(per_base),
             "refinement_default": refine,
-            "selected_mean": sum(b[key] for b in per_base) / len(per_base),
+            "selected_mean": math.fsum(b[key] for b in per_base) / len(per_base),
         }
     _emit(_json_text(doc), args.out)
     return EXIT_OK

@@ -23,12 +23,15 @@ equal order share one computation.
 Success accounting never needs the full Q-vector.  In both counts rhat
 divides r, so h/rhat = c/r with c = h*r/rhat, and |y/Q - c/r| <= 1/(2Q),
 that is 2*|y*r - c*Q| <= r: only a y within 1/2 of some c*Q/r (0 <= c < r)
-can succeed.  Each c has one such y, or two at an exact tie, so about r
-candidates are scored with the closed form, in increasing y.  That sum
-equals the full sum over all Q outcomes, which keeps Q = N^2 tractable at
-any toy size.  The closed form depends on y only through t = r*y mod Q,
-and takes the same value at t and Q - t, so it depends on a candidate
-only through |y*r - c*Q| <= r/2, and each distinct value is scored once.
+can succeed.  Each c has one such y, or two at an exact tie, so at most
+about r candidates carry the success mass.  Their sum equals the full sum
+over all Q outcomes, which keeps Q = N^2 tractable at any toy size.  The
+closed form depends on y only through t = r*y mod Q, and takes the same
+value at t and Q - t, so it depends on a candidate only through its
+distance |y*r - c*Q| <= r/2.  Every sum of probabilities, and every mean
+the commands print, is exactly rounded (math.fsum; Shewchuk, Discrete
+Comput. Geom. 18, 1997), so it does not depend on the order of its terms
+or on the Python version.
 
 When Q >= N^2 (the default Q), no continued fraction runs: the candidates
 for c recover rhat = r/gcd(c, r), the denominator of c/r in lowest terms,
@@ -40,20 +43,25 @@ also be within 1/(2Q) of y/Q, and none of the earlier convergents passes
 the test.  If rhat >= N (only for an r that is no order mod N), a
 denominator k < N the continued fraction may still return does not
 divide r: h/k would be a second multiple of 1/r within 1/Q of c/r, so
-it does not lift either.  A user's Q below N^2 keeps recover_period.  The
-terms and their order are the same either way, so every float is too.
+it does not lift either.  So the c with equal g = gcd(c, r) form one
+class, and each class's distances follow from the units mod the odd part
+of r/g (_success_by_classes): the terms come with power-of-two weights
+and no loop over c, and their fsum is the fsum of the per-candidate
+terms.  A user's Q below N^2 keeps recover_period, one call per
+candidate.
 
 numpy is loaded only by measurement_distribution (the full vector), and
 mpmath not at all: compare_moduli takes its prime band, below 2^12, from
 the bytearray sieve, decides closeness with the exact integer predicate
 and rounds the CSV delta from an integer square root.  The sines run
-once per distinct |y*r - c*Q| of an order, not once per candidate.  Q is
+once per distinct distance of an order, not once per candidate.  Q is
 capped at MAX_Q = 2^512, where Q*ceil(Q/r) still fits a float for every
 r > 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -99,9 +107,9 @@ class ComparisonReport(NamedTuple):
                 continue
             out[group] = {
                 "count": len(rows),
-                "mean_delta": sum(r.delta for r in rows) / len(rows),
-                "mean_success_prob": sum(r.mean_success_prob for r in rows) / len(rows),
-                "mean_success_prob_refined": sum(r.mean_success_prob_refined for r in rows)
+                "mean_delta": math.fsum(r.delta for r in rows) / len(rows),
+                "mean_success_prob": math.fsum(r.mean_success_prob for r in rows) / len(rows),
+                "mean_success_prob_refined": math.fsum(r.mean_success_prob_refined for r in rows)
                 / len(rows),
             }
         return out
@@ -175,25 +183,31 @@ def _check_q(q_size: int) -> None:
 def _prob_at(y: int, r: int, q_size: int) -> float:
     """Closed-form probability of measuring y; exact in the degenerate branches.
 
+    It depends on y only through the distance min(t, Q - t), t = r*y mod Q,
+    so two y at equal distances get the same float (_prob_at_distance).
+    """
+    t = r * y % q_size
+    return _prob_at_distance(min(t, q_size - t), r, q_size)
+
+
+def _prob_at_distance(d: int, r: int, q_size: int) -> float:
+    """Closed-form probability of a y at distance d = min(t, Q - t), t = r*y mod Q.
+
     Both sine arguments are folded into [0, Q/2] in integers: |sin(pi*x)|
     has period 1 and is symmetric about 1/2, so the argument never leaves
     [0, pi/2] and float sin keeps full relative precision even when Q is
-    2^40.  After the fold the value depends on y only through
-    min(t, Q - t), t = r*y mod Q, so two y with equal folds get the same
-    float.
+    2^40.  The numerator's m*t mod Q folds to the same value from t = d
+    and from t = Q - d, so d is all the closed form needs.
     """
     m = -(-q_size // r)
-    t = r * y % q_size
-    if t == 0:
+    if d == 0:
         return m / q_size
-    top = m * t % q_size
+    top = m * d % q_size
     if top == 0:
         return 0.0
     if 2 * top > q_size:
         top = q_size - top
-    if 2 * t > q_size:
-        t = q_size - t
-    ratio = math.sin(math.pi * top / q_size) / math.sin(math.pi * t / q_size)
+    ratio = math.sin(math.pi * top / q_size) / math.sin(math.pi * d / q_size)
     return ratio * ratio / (q_size * m)
 
 
@@ -274,36 +288,86 @@ def success_probabilities(n: int, r: int, q_size: int) -> tuple[float, float]:
 
     Plain counts y whose recovered denominator rhat equals r; refined also
     counts rhat | r with r/rhat <= floor(log2 n), the multiples the
-    small-factor refinement lifts to r (module docstring).  Both sums add
-    their terms in increasing y.  rhat comes from the closed form
-    r/gcd(c, r) when Q >= n^2, decided before any float work, and from
-    recover_period otherwise.  One pass over c advances
-    (y, rem) = divmod(c*Q, r); the candidates for c are y (at distance
-    rem from c*Q/r) and y + 1 (at distance r - rem), and each distance is
-    scored by _prob_at once.
+    small-factor refinement lifts to r (module docstring).  Each is the
+    exactly rounded sum (math.fsum) of its terms, so it does not depend on
+    their order.  When Q >= n^2 the terms come by divisor classes of c,
+    with no loop over c (_success_by_classes); otherwise recover_period
+    decides each candidate (_success_by_continued_fraction).
     """
     _check_q(q_size)
     if not 1 <= r <= q_size:
         raise ParameterError(f"Q = {q_size} cannot resolve period {r}")
-    closed = q_size >= n * n
+    if q_size >= n * n:
+        return _success_by_classes(n, r, q_size)
+    return _success_by_continued_fraction(n, r, q_size)
+
+
+def _success_by_classes(n: int, r: int, q_size: int) -> tuple[float, float]:
+    """(plain, refined) at Q >= n^2, one class of c per divisor g = gcd(c, r).
+
+    The candidate for c recovers r_hat = r/g, and it lifts to r exactly
+    when g < bit_length(n) and 1 < r_hat < n.  Write r_hat = 2^j*o with o
+    odd and c = g*c' with gcd(c', r_hat) = 1.  As Q is a power of two with
+    2^j | Q, the candidate's distance |y*r - c*Q| is (r/o)*min(u, o - u),
+    where u = c'*Q/2^j mod o runs over the units mod o, each phi(2^j)
+    times.  So the class adds the closed form at (r/o)*v for each unit
+    v < o/2 with weight 2*phi(2^j) (u and o - u), or, when o = 1, once at
+    distance 0 with weight phi(2^j).  An odd o never has u = o/2, so no c
+    has two candidates.  Classes with equal o share one list of
+    probabilities.  Every weight is a power of two, so each weighted term
+    is exact, and the fsum of the weighted terms equals the fsum of the
+    per-candidate terms.
+    """
     bits = n.bit_length()
+    by_odd: dict[int, list[float]] = {}
+    plain: list[float] = []
+    refined: list[float] = []
+    for g in range(1, min(bits, r)):
+        r_hat, left = divmod(r, g)
+        if left or r_hat >= n:
+            continue
+        j = (r_hat & -r_hat).bit_length() - 1
+        o = r_hat >> j
+        probs = by_odd.get(o)
+        if probs is None:
+            step = r // o
+            probs = by_odd[o] = [_prob_at_distance(step * v, r, q_size) for v in _half_units(o)]
+        phi_two = 1 << max(j - 1, 0)  # phi(2^j)
+        weight = phi_two if o == 1 else 2 * phi_two
+        terms = [weight * p for p in probs]
+        refined += terms
+        if g == 1:
+            plain = terms
+    return math.fsum(plain), math.fsum(refined)
+
+
+def _half_units(o: int) -> list[int]:
+    """The units v mod an odd o with 0 <= v < o/2; [0] when o = 1."""
+    half = (o + 1) // 2
+    keep = bytearray(b"\x01") * half
+    for p in prime_factors(o):
+        keep[0::p] = bytes(len(range(0, half, p)))
+    return list(itertools.compress(range(half), keep))
+
+
+def _success_by_continued_fraction(n: int, r: int, q_size: int) -> tuple[float, float]:
+    """(plain, refined) with one recover_period call per candidate y.
+
+    One pass over c advances (y, rem) = divmod(c*Q, r); the candidates for
+    c are y (at distance rem from c*Q/r) and y + 1 (at distance r - rem),
+    and each distance is scored once.
+    """
     step_y, step_rem = divmod(q_size, r)
     y, rem = -step_y, -step_rem  # divmod(c*Q, r) after the step at the top of the loop
     by_distance: dict[int, float] = {}
-    plain = refined = 0.0
-    for c in range(r):
+    plain: list[float] = []
+    refined: list[float] = []
+    for _ in range(r):
         y += step_y
         rem += step_rem
         if rem >= r:
             y += 1
             rem -= r
-        if closed:
-            # Every candidate for c recovers c/r in lowest terms, r_hat = r/g
-            # (module docstring); r_hat divides r, so _lifts_to is g < bits.
-            g = math.gcd(c, r)
-            r_hat = r // g
-            if g >= bits or not 1 < r_hat < n:
-                continue
         twice = 2 * rem
         if twice < r:
             candidates = ((y, rem),)
@@ -312,17 +376,16 @@ def success_probabilities(n: int, r: int, q_size: int) -> tuple[float, float]:
         else:
             candidates = ((y, rem), (y + 1, rem))
         for y_c, distance in candidates:
-            if not closed:
-                r_hat = recover_period(y_c, q_size, n)
-                if r_hat is None or not _lifts_to(r_hat, r, n):
-                    continue
+            r_hat = recover_period(y_c, q_size, n)
+            if r_hat is None or not _lifts_to(r_hat, r, n):
+                continue
             prob = by_distance.get(distance)
             if prob is None:
-                prob = by_distance[distance] = _prob_at(y_c, r, q_size)
-            refined += prob
+                prob = by_distance[distance] = _prob_at_distance(distance, r, q_size)
+            refined.append(prob)
             if r_hat == r:
-                plain += prob
-    return plain, refined
+                plain.append(prob)
+    return math.fsum(plain), math.fsum(refined)
 
 
 def shor_success_probability(
@@ -476,8 +539,8 @@ def compare_moduli(
                     delta=delta,
                     angular_separation_num=g,
                     angular_separation_den=(p - 1) * (q - 1),
-                    mean_success_prob=sum(plain) / len(plain),
-                    mean_success_prob_refined=sum(refined) / len(refined),
+                    mean_success_prob=math.fsum(plain) / len(plain),
+                    mean_success_prob_refined=math.fsum(refined) / len(refined),
                 )
             )
     return report

@@ -79,17 +79,57 @@ def candidates(r, q_size):
 
 
 def success_by_continued_fraction(n, r, q_size):
-    """(plain, refined) with one continued fraction per candidate y, in increasing y."""
-    plain = refined = 0.0
+    """(plain, refined) with one continued fraction per candidate y, summed with fsum."""
+    plain, refined = [], []
     for y in candidates(r, q_size):
         r_hat = shor_sim.recover_period(y, q_size, n)
         if r_hat is None or not shor_sim._lifts_to(r_hat, r, n):
             continue
         prob = shor_sim._prob_at(y, r, q_size)
-        refined += prob
+        refined.append(prob)
         if r_hat == r:
-            plain += prob
-    return plain, refined
+            plain.append(prob)
+    return math.fsum(plain), math.fsum(refined)
+
+
+def success_by_gcd_per_c(n, r, q_size):
+    """(plain, refined) at Q >= n^2 with one gcd per c, summed with fsum.
+
+    The loop over every c in range(r) that the library ran before it
+    enumerated divisor classes: the candidate for c recovers
+    r_hat = r/gcd(c, r), which lifts to r when gcd(c, r) < bit_length(n)
+    and 1 < r_hat < n.  (y, rem) = divmod(c*Q, r) advances by one step
+    per c, and each distance from c*Q/r is scored once.
+    """
+    bits = n.bit_length()
+    step_y, step_rem = divmod(q_size, r)
+    y, rem = -step_y, -step_rem
+    by_distance = {}
+    plain, refined = [], []
+    for c in range(r):
+        y += step_y
+        rem += step_rem
+        if rem >= r:
+            y += 1
+            rem -= r
+        g = math.gcd(c, r)
+        if g >= bits or not 1 < r // g < n:
+            continue
+        twice = 2 * rem
+        if twice < r:
+            candidates = ((y, rem),)
+        elif twice > r:
+            candidates = ((y + 1, r - rem),)
+        else:
+            candidates = ((y, rem), (y + 1, rem))
+        for y_c, distance in candidates:
+            prob = by_distance.get(distance)
+            if prob is None:
+                prob = by_distance[distance] = shor_sim._prob_at(y_c, r, q_size)
+            refined.append(prob)
+            if g == 1:
+                plain.append(prob)
+    return math.fsum(plain), math.fsum(refined)
 
 
 # --- multiplicative order ---------------------------------------------------
@@ -341,6 +381,18 @@ def test_closed_form_recovery_equals_the_continued_fraction(n, doublings, data):
     )
 
 
+def test_divisor_classes_equal_the_gcd_per_c_loop(wall_clock):
+    """Q >= N^2: the divisor-class enumeration gives the float tuple of the
+    per-c loop summed with fsum, for every r < 2^10 at a 24-bit N, at the
+    default Q and at 4Q."""
+    n = 4091 * 4093
+    with wall_clock(30):
+        for q_size in (shor_sim.default_q(n), shor_sim.default_q(n) << 2):
+            for r in range(1, 1 << 10):
+                got = shor_sim.success_probabilities(n, r, q_size)
+                assert got == success_by_gcd_per_c(n, r, q_size), (r, q_size)
+
+
 def test_closed_form_at_q_equal_to_n_squared():
     assert shor_sim.default_q(4) == 16
     for r in range(1, 13):
@@ -504,7 +556,7 @@ def test_compare_moduli_is_deterministic():
     ],
 )
 def test_shor_compare_csv_is_pinned(name, argv, capsys):
-    """CSV bytes recorded before the one-pass rework; every float must replay."""
+    """CSV bytes recorded with exactly rounded (fsum) sums; every float must replay."""
     assert cli.main(["shor-compare", "--gamma", "0.35", *argv]) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
 
@@ -533,10 +585,10 @@ def test_q_below_n_squared_keeps_the_continued_fraction(monkeypatch, capsys):
 
 
 def test_shor_compare_at_twenty_bits_is_pinned(tmp_path, capsys, wall_clock):
-    """Recorded with one continued fraction per candidate; the closed form must replay it."""
+    """Recorded with exactly rounded (fsum) sums; the divisor classes must replay it."""
     out_csv = tmp_path / "cmp.csv"
     argv = ["--bits", "20", "--pairs", "2", "--gamma", "0.2", "--bases", "2", "--seed", "00" * 32]
-    with wall_clock(60):
+    with wall_clock(10):
         assert cli.main(["shor-compare", *argv, "-o", str(out_csv)]) == 0
     assert capsys.readouterr().out.encode() == (DATA / "shor_compare_20.json").read_bytes()
     assert out_csv.read_bytes() == (DATA / "shor_compare_20.csv").read_bytes()
