@@ -75,17 +75,12 @@ class QuantumReport(NamedTuple):
         def fmt(x):
             return None if x is None else mp.nstr(x, 24, strip_zeros=True)
 
-        return {
-            "angular_separation": f"{self.angular_separation.numerator}/{self.angular_separation.denominator}",
-            "angular_bound": fmt(self.angular_bound),
-            "distinguishability_bound": fmt(self.distinguishability_bound),
-            "measurement_estimate": fmt(self.measurement_estimate),
-            "query_estimate": fmt(self.query_estimate),
-            "quantum_ops_estimate": fmt(self.quantum_ops_estimate),
-            "mutual_info_bound": fmt(self.mutual_info_bound),
-            "succ_prob_bound": fmt(self.succ_prob_bound),
-            "fano_lower_bound": fmt(self.fano_lower_bound),
-        }
+        fields = self._asdict()
+        sep = fields.pop("angular_separation")
+        return dict(
+            {name: fmt(x) for name, x in fields.items()},
+            angular_separation=f"{sep.numerator}/{sep.denominator}",
+        )
 
 
 # Classical factoring costs are quoted symbolically only; no constants are
@@ -104,17 +99,13 @@ class ClassicalReport(NamedTuple):
     gap_exceeds_quarter_root: Optional[bool]
 
     def to_dict(self) -> dict:
-        return {
-            "wiener_safe": self.wiener_safe,
-            "fermat_applicable": self.fermat_applicable,
-            "fermat_iterations_exact": (
-                None if self.fermat_iterations_exact is None else hex(self.fermat_iterations_exact)
-            ),
-            "fermat_feasible": self.fermat_feasible,
-            "gap_exceeds_quarter_root": self.gap_exceeds_quarter_root,
-            "gnfs_cost_symbolic": GNFS_COST_SYMBOLIC,
-            "ecm_cost_symbolic": ECM_COST_SYMBOLIC,
-        }
+        iterations = self.fermat_iterations_exact
+        return dict(
+            self._asdict(),
+            fermat_iterations_exact=None if iterations is None else hex(iterations),
+            gnfs_cost_symbolic=GNFS_COST_SYMBOLIC,
+            ecm_cost_symbolic=ECM_COST_SYMBOLIC,
+        )
 
 
 class FermatResult(NamedTuple):

@@ -12,7 +12,7 @@ runs on the standard library alone; the range is never held as Python
 ints.
 
 For fixed p the predicate holds exactly for 0 < q - p <= G(p), and the
-threshold gap G(p) is an integer square root away (_max_gap), never
+threshold gap G(p) is an integer square root away (_max_gap_of), never
 falling as p grows.  So neither census tests pairs one by one.
 census_pairs counts primes with mask.count(1) and counts the failing
 pairs: a pair fails when at least G(p)//2 zero bytes follow p, so
@@ -84,13 +84,10 @@ def _proximate(p: int, q: int, gamma: Fraction) -> bool:
     return den * den * (q - p) * (q - p) < num * num * p * q
 
 
-def _max_gap(p: int, gamma: Fraction) -> int:
-    """G(p): the largest g >= 0 with _proximate(p, p + g, gamma) for p >= 1."""
-    return _max_gap_of(gamma)(p)
-
-
 def _max_gap_of(gamma: Fraction):
     """max_gap(p, at_least=0) = G(p) for one gamma, its squares computed once.
+
+    G(p) is the largest g >= 0 with _proximate(p, p + g, gamma), for p >= 1.
 
     The predicate holds for the gaps 0..G(p) and no others, so when
     at_least <= G(p) is known, one test of the gap at_least + 1 tells

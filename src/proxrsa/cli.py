@@ -2,8 +2,9 @@
 
 Subcommands: keygen, keygen-multi, keygen-compat, verify, analyze,
 shor-sim, shor-compare, census.  Exit codes: 0 success, 1 I/O or file
-parse failure, or a failed numerical self-check (NumericalError), 2 search
-exhausted, 3 invalid parameters, 4 verification failure.
+parse failure, or an entropy budget the validator's bracket cannot decide
+(NumericalError), 2 search exhausted, 3 invalid parameters, 4
+verification failure.
 
 Keys and reports are JSON with sorted keys and hex-encoded integers;
 gamma travels as an exact "num/den" string.  Every stochastic choice is
@@ -276,19 +277,6 @@ def _cmd_shor_sim(args) -> int:
     return EXIT_OK
 
 
-COMPARE_CSV_COLUMNS = [
-    "group",
-    "N",
-    "p",
-    "q",
-    "delta",
-    "angular_separation_num",
-    "angular_separation_den",
-    "mean_success_prob",
-    "mean_success_prob_refined",
-]
-
-
 def _cmd_shor_compare(args) -> int:
     from . import shor_sim
     from .numerics import SeedStream
@@ -297,8 +285,8 @@ def _cmd_shor_compare(args) -> int:
     report = shor_sim.compare_moduli(
         args.bits, args.pairs, args.gamma, stream, args.q_size, args.bases
     )
-    rows = [COMPARE_CSV_COLUMNS, *report.rows]
-    _emit(_csv_text(rows), args.out)
+    header = ["N" if name == "n" else name for name in shor_sim.ComparisonRow._fields]
+    _emit(_csv_text([header, *report.rows]), args.out)
     if args.out is not None:
         summary = {
             "bit_size": report.bit_size,

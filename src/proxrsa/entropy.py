@@ -71,14 +71,9 @@ class EntropyReport(NamedTuple):
         def fmt(x: Optional[mpf]) -> Optional[str]:
             return None if x is None else mp.nstr(x, 30, strip_zeros=True)
 
-        return {
-            "delta": fmt(self.delta),
-            "purity_lower": fmt(self.purity_lower),
-            "h2_estimate_bits": fmt(self.h2_estimate_bits),
-            "h2_bound_bits": fmt(self.h2_bound_bits),
-            "budget_bits": fmt(self.budget_bits),
-            "constraint_ok": self.constraint_ok,
-        }
+        fields = self._asdict()
+        ok = fields.pop("constraint_ok")
+        return dict({name: fmt(x) for name, x in fields.items()}, constraint_ok=ok)
 
 
 def proximity_delta(p: int, q: int) -> mpf:

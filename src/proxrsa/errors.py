@@ -26,7 +26,7 @@ class StreamExhaustedError(SearchExhaustedError):
 
 
 class NumericalError(ProxRsaError):
-    """A floating-point self-check failed, e.g. a drifted normalization (exit 1)."""
+    """A numerical bracket could not decide, e.g. the validator's entropy budget (exit 1)."""
 
 
 class RangeTooLargeError(ParameterError):

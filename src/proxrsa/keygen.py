@@ -219,16 +219,22 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
     to max_restarts times.  An attempt returns (primes, entropy report,
     inner primes) or None; the first whose exponents finalize is the key.
     """
-    m_modulus = build_small_modulus(ell)
-    stream = SeedStream(params.seed)
-    residues = derive_residues(m_modulus, stream, count)
     if bits < 8:  # only a multi-prime split can get this narrow
         raise ParameterError(f"k={params.k} too small for {count} primes")
+    what = "inner primes" if variant == "compatible" else "primes"
+    # The first ell primes multiply to at least 2^ell, so M has more than
+    # ell bits; refuse before building it.
+    if ell >= bits:
+        raise ParameterError(
+            f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}"
+        )
+    m_modulus = build_small_modulus(ell)
     if m_modulus.bit_length() > bits:
-        what = "inner primes" if variant == "compatible" else "primes"
         raise ParameterError(
             f"congruence modulus ({m_modulus.bit_length()} bits) too wide for {bits}-bit {what}"
         )
+    stream = SeedStream(params.seed)
+    residues = derive_residues(m_modulus, stream, count)
     gamma = params.resolved_gamma()
     for _ in range(params.max_restarts):
         found = attempt(stream, bits, residues, m_modulus, gamma, params)

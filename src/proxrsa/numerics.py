@@ -44,6 +44,7 @@ def _simple_sieve(limit: int) -> list[int]:
 # Trial division by these fully decides primality below 2048**2.
 _SMALL_PRIMES = _simple_sieve(2048)
 _SMALL_PRIME_SET = set(_SMALL_PRIMES)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _SMALL_PRIME_LIMIT = 2048 * 2048
 
 
@@ -129,11 +130,9 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
         return False
     if n in _SMALL_PRIME_SET:
         return True
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return False
+    # One gcd is trial division by every prime below 2048 at once.
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return False
     if n < _SMALL_PRIME_LIMIT:
         return True
 

@@ -7,8 +7,7 @@ m = ceil(Q/r) superposed periods:
 
 which collapses to m/Q at y with r*y == 0 (mod Q), to 0 where the
 geometric sum closes (Q | m*t), and to a sin-ratio elsewhere.  The exact
-sum over all y is 1, so renormalization is a no-op up to float error; the
-factor is still computed and checked against 1e-9.
+sum over all y is 1.
 
 A measurement y is post-processed by continued fractions (Shor, SIAM J.
 Comput. 26(5), 1997): recover_period returns the convergent h/rhat of y/Q
@@ -50,13 +49,12 @@ and no loop over c, and their fsum is the fsum of the per-candidate
 terms.  A user's Q below N^2 keeps recover_period, one call per
 candidate.
 
-numpy is loaded only by measurement_distribution (the full vector), and
-mpmath not at all: compare_moduli takes its prime band, below 2^12, from
-the bytearray sieve, decides closeness with the exact integer predicate
-and rounds the CSV delta from an integer square root.  The sines run
-once per distinct distance of an order, not once per candidate.  Q is
-capped at MAX_Q = 2^512, where Q*ceil(Q/r) still fits a float for every
-r > 1.
+The module runs on the standard library alone: compare_moduli takes its
+prime band, below 2^12, from the bytearray sieve, decides closeness with
+the exact integer predicate and rounds the CSV delta from an integer
+square root.  The sines run once per distinct distance of an order, not
+once per candidate.  Q is capped at MAX_Q = 2^512, where Q*ceil(Q/r)
+still fits a float for every r > 1.
 """
 
 from __future__ import annotations
@@ -64,22 +62,18 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import entropy, numerics
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 from .numerics import SeedStream, _simple_sieve, euler_phi, prime_factors
 
-if TYPE_CHECKING:
-    import numpy as np
-
 MAX_TOY_MODULUS = 1 << 20
-MAX_DENSE_Q = 1 << 22
 MAX_Q = 1 << 512
 
 
 class ComparisonRow(NamedTuple):
-    """One shor-compare CSV row; the fields are its columns, in order."""
+    """One shor-compare CSV row; the fields are its columns, in order, with n written N."""
 
     group: str
     n: int
@@ -180,16 +174,6 @@ def _check_q(q_size: int) -> None:
         raise ParameterError(f"Q must be at most 2^512: 2^{q_size.bit_length() - 1}")
 
 
-def _prob_at(y: int, r: int, q_size: int) -> float:
-    """Closed-form probability of measuring y; exact in the degenerate branches.
-
-    It depends on y only through the distance min(t, Q - t), t = r*y mod Q,
-    so two y at equal distances get the same float (_prob_at_distance).
-    """
-    t = r * y % q_size
-    return _prob_at_distance(min(t, q_size - t), r, q_size)
-
-
 def _prob_at_distance(d: int, r: int, q_size: int) -> float:
     """Closed-form probability of a y at distance d = min(t, Q - t), t = r*y mod Q.
 
@@ -209,40 +193,6 @@ def _prob_at_distance(d: int, r: int, q_size: int) -> float:
         top = q_size - top
     ratio = math.sin(math.pi * top / q_size) / math.sin(math.pi * d / q_size)
     return ratio * ratio / (q_size * m)
-
-
-def measurement_distribution(r: int, q_size: int) -> np.ndarray:
-    """Full probability vector over y in [0, Q); only for Q <= 2^22.
-
-    The pre-normalization sum must land within 1e-9 of 1; the vector is
-    then rescaled to sum to exactly 1.
-    """
-    _check_q(q_size)
-    if not 1 <= r <= q_size:
-        raise ParameterError(f"period must satisfy 1 <= r <= Q: {r}")
-    if q_size > MAX_DENSE_Q:
-        raise ParameterError(f"dense distribution capped at Q = 2^22, got {q_size}")
-    import numpy as np
-
-    m = -(-q_size // r)
-    y = np.arange(q_size, dtype=np.int64)
-    t = (np.int64(r) * y) % q_size
-    probs = np.zeros(q_size, dtype=np.float64)
-    peak = t == 0
-    probs[peak] = m / q_size
-    mt = np.int64(m) * t
-    live = ~peak & (mt % q_size != 0)
-    # fold into [0, Q/2] in integers: |sin(pi*x)| is 1-periodic, symmetric
-    top = mt[live] % q_size
-    top = np.minimum(top, q_size - top).astype(np.float64)
-    tl = np.minimum(t[live], q_size - t[live]).astype(np.float64)
-    ratio = np.sin(np.pi * top / q_size) / np.sin(np.pi * tl / q_size)
-    probs[live] = ratio * ratio / (q_size * m)
-
-    total = float(probs.sum())
-    if abs(total - 1.0) >= 1e-9:
-        raise NumericalError(f"distribution normalization drifted: sum = {total!r}")
-    return probs / total
 
 
 def recover_period(y: int, q_size: int, n: int) -> Optional[int]:

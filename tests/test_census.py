@@ -260,13 +260,13 @@ def test_max_gap_matches_a_linear_scan(gamma):
         g = 0
         while close(p, p + g + 1, gamma):
             g += 1
-        assert census._max_gap(p, gamma) == g, p
+        assert census._max_gap_of(gamma)(p) == g, p
 
 
 @given(st.integers(1, 1 << 40), GAMMAS)
 @settings(max_examples=300, deadline=None)
 def test_max_gap_is_the_last_passing_gap(p, gamma):
-    g = census._max_gap(p, gamma)
+    g = census._max_gap_of(gamma)(p)
     assert g >= 0
     assert g == 0 or close(p, p + g, gamma)
     assert not close(p, p + g + 1, gamma)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -128,9 +129,16 @@ def test_probable_prime_rejects_bad_rounds():
 
 
 def test_probable_prime_agrees_with_sieve_to_one_million():
+    """Every n up to 10^6, and the window around 2048^2 where trial division
+    stops deciding alone: it holds 2053^2, the first composite with no prime
+    factor below 2048."""
     limit = 10**6
-    primes = set(naive_sieve(limit))
-    mismatches = [n for n in range(limit + 1) if numerics.is_probable_prime(n, 16) != (n in primes)]
+    edge = 2048 * 2048
+    window = range(edge - (1 << 15), edge + (1 << 15))
+    assert 2053 * 2053 in window
+    primes = set(naive_sieve(window[-1]))
+    numbers = itertools.chain(range(limit + 1), window)
+    mismatches = [n for n in numbers if numerics.is_probable_prime(n, 16) != (n in primes)]
     assert mismatches == []
 
 

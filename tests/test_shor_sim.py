@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from dense_oracle import measurement_distribution
 from mpmath import mp, mpf
 
 from proxrsa import cli, entropy, shor_sim
@@ -43,7 +44,7 @@ def dense_success(n, a, q_size, refine):
     candidate windows nor the divisibility rule of the library.
     """
     r = shor_sim.multiplicative_order(a, n)
-    probs = shor_sim.measurement_distribution(r, q_size)
+    probs = measurement_distribution(r, q_size)
     total = 0.0
     for y in range(q_size):
         r_hat = shor_sim.recover_period(y, q_size, n)
@@ -85,7 +86,8 @@ def success_by_continued_fraction(n, r, q_size):
         r_hat = shor_sim.recover_period(y, q_size, n)
         if r_hat is None or not shor_sim._lifts_to(r_hat, r, n):
             continue
-        prob = shor_sim._prob_at(y, r, q_size)
+        t = r * y % q_size
+        prob = shor_sim._prob_at_distance(min(t, q_size - t), r, q_size)
         refined.append(prob)
         if r_hat == r:
             plain.append(prob)
@@ -125,7 +127,7 @@ def success_by_gcd_per_c(n, r, q_size):
         for y_c, distance in candidates:
             prob = by_distance.get(distance)
             if prob is None:
-                prob = by_distance[distance] = shor_sim._prob_at(y_c, r, q_size)
+                prob = by_distance[distance] = shor_sim._prob_at_distance(distance, r, q_size)
             refined.append(prob)
             if g == 1:
                 plain.append(prob)
@@ -206,20 +208,20 @@ def test_order_matches_multiplication_loop_at_twenty_bits(n):
 
 
 def test_distribution_peaks_when_r_divides_q():
-    probs = shor_sim.measurement_distribution(4, 2048)
+    probs = measurement_distribution(4, 2048)
     nz = np.flatnonzero(probs > 0)
     assert nz.tolist() == [0, 512, 1024, 1536]
     assert np.all(np.abs(probs[nz] - 0.25) < 1e-12)
 
 
 def test_distribution_r_one():
-    probs = shor_sim.measurement_distribution(1, 64)
+    probs = measurement_distribution(1, 64)
     assert probs[0] == 1.0
     assert probs[1:].sum() == 0.0
 
 
 def test_distribution_r3_q8_matches_complex_oracle():
-    got = shor_sim.measurement_distribution(3, 8)
+    got = measurement_distribution(3, 8)
     want = oracle_distribution(3, 8)
     renorm = sum(want)
     assert np.allclose(got, np.array(want) / renorm, atol=1e-12)
@@ -227,7 +229,7 @@ def test_distribution_r3_q8_matches_complex_oracle():
 
 def test_distribution_against_oracle_various():
     for r, q in [(3, 16), (5, 32), (6, 64), (7, 64), (12, 128)]:
-        got = shor_sim.measurement_distribution(r, q)
+        got = measurement_distribution(r, q)
         want = np.array(oracle_distribution(r, q))
         want = want / want.sum()
         assert np.allclose(got, want, atol=1e-10), (r, q)
@@ -248,13 +250,13 @@ def test_distribution_normalization_sweep():
             probs[live] = ratio * ratio / (q_size * m)
             assert abs(probs.sum() - 1.0) < 1e-9, (r, q_size)
             # and the library path accepts it
-            assert abs(shor_sim.measurement_distribution(r, q_size).sum() - 1.0) < 1e-12
+            assert abs(measurement_distribution(r, q_size).sum() - 1.0) < 1e-12
 
 
 def test_peak_law_for_divisors():
     for q_size in (256, 1024):
         for r in (2, 4, 8, 16, 32, 64):
-            probs = shor_sim.measurement_distribution(r, q_size)
+            probs = measurement_distribution(r, q_size)
             nz = np.flatnonzero(probs > 1e-15)
             assert len(nz) == r
             assert np.all(np.abs(probs[nz] - 1 / r) < 1e-12)
@@ -262,11 +264,11 @@ def test_peak_law_for_divisors():
 
 def test_distribution_parameter_checks():
     with pytest.raises(ParameterError):
-        shor_sim.measurement_distribution(4, 100)  # not a power of two
+        shor_sim.success_probabilities(15, 4, 100)  # not a power of two
     with pytest.raises(ParameterError):
-        shor_sim.measurement_distribution(0, 64)
+        shor_sim.success_probabilities(15, 0, 64)
     with pytest.raises(ParameterError):
-        shor_sim.measurement_distribution(65, 64)
+        shor_sim.success_probabilities(15, 65, 64)
 
 
 # --- period recovery ----------------------------------------------------------
@@ -434,7 +436,7 @@ def test_distribution_drift_is_a_package_error(monkeypatch, capsys):
     sin = np.sin
     monkeypatch.setattr(np, "sin", lambda x: sin(x) + 1e-3)  # a sine that is off by 1e-3
     with pytest.raises(NumericalError) as info:
-        shor_sim.measurement_distribution(3, 256)
+        measurement_distribution(3, 256)
     assert isinstance(info.value, ProxRsaError)
     assert not isinstance(info.value, ArithmeticError)
     # shor-sim --a reports from the sparse pass and never builds the dense
@@ -500,7 +502,7 @@ def test_prob_at_large_q_keeps_precision():
                 (mp.sin(mp.pi * m * t / q_size) / mp.sin(mp.pi * t / q_size)) ** 2
                 / (q_size * m)
             )
-            got = shor_sim._prob_at(y, r, q_size)
+            got = shor_sim._prob_at_distance(min(t, q_size - t), r, q_size)
             assert abs(got - want) <= 1e-12 * max(want, 1e-30), (c, got, want)
 
 
