@@ -60,34 +60,8 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EntropyReport",
-    "InfeasibleError",
-    "KeyGenParams",
-    "KeyPair",
-    "NumericalError",
-    "ParameterError",
-    "ProxRsaError",
-    "RangeTooLargeError",
-    "SearchExhaustedError",
-    "SeedStream",
-    "StreamExhaustedError",
-    "build_small_modulus",
-    "check_entropy_constraint",
-    "derive_residues",
-    "generate_compatible",
-    "generate_keypair",
-    "generate_multiprime",
-    "h2_estimate",
-    "h2_from_delta",
-    "h2_upper_bound",
-    "is_probable_prime",
-    "model_eigenvalues",
-    "multiprime_h2_bound",
-    "proximity_delta",
-    "proximity_holds_exact",
-    "purity_lower",
-    "renyi_entropy",
-    "sieve_range",
-    "validate_key",
-]
+# The error classes imported above and every lazily loaded name.
+__all__ = sorted(
+    [name for name, value in globals().items() if isinstance(value, type) and issubclass(value, ProxRsaError)]
+    + list(_HOME)
+)

@@ -6,10 +6,12 @@ pairs p < q in prescribed residue classes.  Both decide the proximity
 predicate |q - p| < gamma*sqrt(p*q) in exact integer arithmetic.
 
 Both read the range from one segment stream (_segments): one list of
-base primes up to sqrt(hi), one zero buffer, and per _SEGMENT block a
-bytearray with one byte per odd number, 1 where it is prime.  The module
-runs on the standard library alone; the range is never held as Python
-ints.
+base primes up to sqrt(hi) from numerics.sieve_range, one zero buffer,
+and per _SEGMENT block a bytearray with one byte per odd number, 1 where
+it is prime (numerics._odd_mask).  The range check is numerics' own; the
+plain census has no span cap beyond the 2^40 bound on hi, and only the
+progression census caps its span, at 2^26.  The module runs on the
+standard library alone; the range is never held as Python ints.
 
 For fixed p the predicate holds exactly for 0 < q - p <= G(p), and the
 threshold gap G(p) is an integer square root away (_max_gap_of), never
@@ -37,11 +39,10 @@ from array import array
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import numerics
 from .errors import ParameterError, RangeTooLargeError
-from .numerics import _base_primes, _odd_mask, _zero_buffer
 
 _SEGMENT = 1 << 24
-_MAX_HI = 1 << 40
 _MAX_PROGRESSION_SPAN = 1 << 26
 
 
@@ -63,15 +64,6 @@ class CensusReport(NamedTuple):
     def to_dict(self) -> dict:
         """The report's fields in schema order, gamma written as "num/den"."""
         return dict(self._asdict(), gamma=f"{self.gamma.numerator}/{self.gamma.denominator}")
-
-
-def _check_range(lo: int, hi: int) -> None:
-    if lo < 0 or hi < 0:
-        raise ParameterError("bounds must be non-negative")
-    if lo > hi:
-        raise ParameterError("lo must not exceed hi")
-    if hi > _MAX_HI:
-        raise RangeTooLargeError(f"hi exceeds 2^40 budget: {hi}")
 
 
 def _check_gamma(gamma: Fraction) -> None:
@@ -121,10 +113,10 @@ def _segments(lo: int, hi: int):
     is left to the caller.  One list of base primes and one zero buffer
     serve every block; buffer[:n + 1], a 1 and n zeros, is the needle for a
     run of n zeros, for any n below the mask's length."""
-    base = _base_primes(hi)
-    buffer = _zero_buffer(min(_SEGMENT, hi - lo + 1) - 1)
+    base = numerics.sieve_range(0, math.isqrt(hi))
+    buffer = numerics._zero_buffer(min(_SEGMENT, hi - lo + 1) - 1)
     for start in range(lo, hi + 1, _SEGMENT):
-        yield start | 1, _odd_mask(start, min(start + _SEGMENT - 1, hi), base, buffer), buffer
+        yield start | 1, numerics._odd_mask(start, min(start + _SEGMENT - 1, hi), base, buffer), buffer
 
 
 def _report(lo: int, hi: int, gamma: Fraction, prime_count: int, pair_count: int, **classes) -> CensusReport:
@@ -144,7 +136,7 @@ def _report(lo: int, hi: int, gamma: Fraction, prime_count: int, pair_count: int
 
 def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
     """Count consecutive prime pairs in [lo, hi] passing the proximity test."""
-    _check_range(lo, hi)
+    numerics._check_bounds(lo, hi)
     _check_gamma(gamma)
 
     max_gap = _max_gap_of(gamma)
@@ -192,7 +184,7 @@ def census_progression(
 ) -> CensusReport:
     """Count pairs p < q with p == res_a, q == res_b (mod modulus) and
     |q - p| < gamma*sqrt(p*q); pairs need not be consecutive."""
-    _check_range(lo, hi)
+    numerics._check_bounds(lo, hi)
     _check_gamma(gamma)
     if modulus < 1:
         raise ParameterError("modulus must be >= 1")

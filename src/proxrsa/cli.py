@@ -80,15 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_keygen_flags(p):
+        # A tunable left out is left out of args too, so KeyGenParams
+        # alone holds its default.
+        only_if_given = argparse.SUPPRESS
         p.add_argument("--k", type=int, required=True, help="modulus bit length")
         p.add_argument("--gamma", type=str, default=None, help="proximity bound as num/den")
-        p.add_argument("--beta", type=float, default=0.9, help="entropy budget factor in (0,1)")
-        p.add_argument("--epsilon", type=float, default=0.1, help="exponent for the default gamma")
+        p.add_argument("--beta", type=float, default=only_if_given, help="entropy budget factor in (0,1)")
+        p.add_argument("--epsilon", type=float, default=only_if_given, help="exponent for the default gamma")
         p.add_argument("--ell", type=int, default=None, help="small primes in congruence modulus")
-        p.add_argument("--e", type=int, default=65537, help="public exponent")
+        p.add_argument("--e", type=int, default=only_if_given, help="public exponent")
         p.add_argument("--seed", type=str, default=None, help="64 hex chars; drives all choices")
-        p.add_argument("--max-candidates", type=int, default=10_000)
-        p.add_argument("--max-restarts", type=int, default=64)
+        p.add_argument("--max-candidates", type=int, default=only_if_given)
+        p.add_argument("--max-restarts", type=int, default=only_if_given)
         p.add_argument(
             "--insecure-small",
             action="store_true",
@@ -155,17 +158,12 @@ def _cmd_keygen(args) -> int:
         raise ParameterError(
             f"k={args.k} is far below production size; pass --insecure-small to proceed"
         )
-    params = keygen.KeyGenParams(
-        k=args.k,
+    fields = {name: value for name, value in vars(args).items() if name in keygen.KeyGenParams._fields}
+    params = keygen.KeyGenParams(**dict(
+        fields,
         seed=_parse_seed(args.seed),
         gamma=None if args.gamma is None else keyfile.gamma_from_str(args.gamma),
-        beta=args.beta,
-        epsilon=args.epsilon,
-        ell=args.ell,
-        e=args.e,
-        max_candidates=args.max_candidates,
-        max_restarts=args.max_restarts,
-    )
+    ))
     if args.command == "keygen-multi":
         kp = keygen.generate_multiprime(params, args.m)
     elif args.command == "keygen-compat":

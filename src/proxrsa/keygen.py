@@ -222,9 +222,9 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
     if bits < 8:  # only a multi-prime split can get this narrow
         raise ParameterError(f"k={params.k} too small for {count} primes")
     what = "inner primes" if variant == "compatible" else "primes"
-    # The first ell primes multiply to at least 2^ell, so M has more than
-    # ell bits; refuse before building it.
-    if ell >= bits:
+    # Each prime p is at least 2^(p.bit_length() - 1), so M has more bits
+    # than the sum of those exponents; refuse before building it.
+    if sum(p.bit_length() - 1 for p in numerics.first_primes(ell)) >= bits:
         raise ParameterError(
             f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}"
         )

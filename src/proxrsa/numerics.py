@@ -5,12 +5,18 @@ throughout; every routine here accepts and returns plain ints, and gcd,
 modular inverse and integer square root are the builtins (``math.gcd``,
 ``pow(e, -1, m)``, ``math.isqrt``).  All randomness flows through
 :class:`SeedStream` (SHA-256 in counter mode), so identical seeds
-reproduce identical results bit for bit.  The range sieve
-(:func:`sieve_range` and the census's segment sieve) marks the odd
-numbers of a window in a ``bytearray``, one byte each, and crosses off
-multiples with slices of one shared zero buffer; the module needs
-nothing outside the standard library, and hashlib loads with the first
-stream, so a sieve-only caller never imports it.
+reproduce identical results bit for bit.
+
+:func:`sieve_range` is the one function that lists primes: the small
+primes of trial division, the first ell primes of the congruence
+modulus (:func:`first_primes`), shor-compare's prime band and the
+census's base primes.  _odd_mask marks the odd numbers of a window in a
+``bytearray``, one byte each, and crosses off multiples with slices of
+one shared zero buffer; sieve_range takes its base primes up to
+isqrt(hi) from itself, and the census reads its range as such masks,
+one per segment.  The module needs nothing outside the standard library,
+and hashlib loads with the first stream, so a sieve-only caller never
+imports it.
 """
 
 from __future__ import annotations
@@ -28,24 +34,6 @@ from .errors import (
 _MAX_COUNTER = 1 << 64
 _MAX_SIEVE_HI = 1 << 40
 _MAX_SIEVE_SPAN = 1 << 28
-
-
-def _simple_sieve(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    mask = bytearray([1]) * (limit + 1)
-    mask[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return list(itertools.compress(range(limit + 1), mask))
-
-
-# Trial division by these fully decides primality below 2048**2.
-_SMALL_PRIMES = _simple_sieve(2048)
-_SMALL_PRIME_SET = set(_SMALL_PRIMES)
-_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
-_SMALL_PRIME_LIMIT = 2048 * 2048
 
 
 class SeedStream:
@@ -182,29 +170,28 @@ def next_prime_in_progression(start: int, residue: int, modulus: int, max_steps:
     )
 
 
-def sieve_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending.  Span is capped at 2**28."""
+def _check_bounds(lo: int, hi: int) -> None:
+    """The range check of every sieved window [lo, hi]."""
     if lo < 0 or hi < 0:
         raise ParameterError("bounds must be non-negative")
     if lo > hi:
         raise ParameterError("lo must not exceed hi")
     if hi > _MAX_SIEVE_HI:
         raise RangeTooLargeError(f"hi exceeds 2^40 budget: {hi}")
+
+
+def sieve_range(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], ascending.  Span is capped at 2**28.
+
+    The base primes up to isqrt(hi) come from this function itself, so
+    the recursion ends at a window below 2.
+    """
+    _check_bounds(lo, hi)
     if hi - lo > _MAX_SIEVE_SPAN:
         raise RangeTooLargeError(f"segment span exceeds 2^28: {hi - lo}")
     if hi < 2:
         return []
-    return _segment_primes(lo, hi, _base_primes(hi))
-
-
-def _segment_primes(lo: int, hi: int, base_primes: list[int]) -> list[int]:
-    """The primes in [lo, hi], ascending.
-
-    base_primes must hold every prime from 2 up to isqrt(hi), ascending;
-    larger ones are ignored, so one base list serves every segment below
-    its hi.
-    """
-    mask = _odd_mask(lo, hi, base_primes, _zero_buffer(hi - lo))
+    mask = _odd_mask(lo, hi, sieve_range(0, math.isqrt(hi)), _zero_buffer(hi - lo))
     primes = list(itertools.compress(range(lo | 1, hi + 1, 2), mask))
     return [2, *primes] if lo <= 2 <= hi else primes
 
@@ -219,9 +206,12 @@ def _zero_buffer(span: int) -> memoryview:
 
 def _odd_mask(lo: int, hi: int, base_primes: list[int], buffer: memoryview) -> bytearray:
     """mask[i] is 1 when lo|1 + 2*i is prime, 0 otherwise, over the odd
-    numbers of [lo, hi]; 2 is left to the caller.  Multiples are crossed
-    off with slices of buffer (from _zero_buffer), so no base prime
-    allocates zero bytes of its own."""
+    numbers of [lo, hi]; 2 is left to the caller.
+
+    base_primes must hold every prime from 2 up to isqrt(hi), ascending;
+    larger ones are ignored, so one base list serves every window below
+    its top.  Multiples are crossed off with slices of buffer (from
+    _zero_buffer), so no base prime allocates zero bytes of its own."""
     odd = lo | 1
     size = max(0, (hi - odd) // 2 + 1)
     mask = bytearray(b"\x01") * size
@@ -240,11 +230,11 @@ def _odd_mask(lo: int, hi: int, base_primes: list[int], buffer: memoryview) -> b
     return mask
 
 
-def _base_primes(hi: int) -> list[int]:
-    root = math.isqrt(hi)
-    if root <= 2048:
-        return [p for p in _SMALL_PRIMES if p <= root]
-    return _simple_sieve(root)
+# Trial division by these fully decides primality below 2048**2.
+_SMALL_PRIMES = sieve_range(0, 2048)
+_SMALL_PRIME_SET = set(_SMALL_PRIMES)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+_SMALL_PRIME_LIMIT = 2048 * 2048
 
 
 def first_primes(count: int) -> list[int]:
@@ -254,7 +244,7 @@ def first_primes(count: int) -> list[int]:
     primes: list[int] = []
     limit = max(32, count * 16)
     while len(primes) < count:
-        primes = _simple_sieve(limit)
+        primes = sieve_range(0, limit)
         limit *= 2
     return primes[:count]
 

@@ -50,7 +50,7 @@ terms.  A user's Q below N^2 keeps recover_period, one call per
 candidate.
 
 The module runs on the standard library alone: compare_moduli takes its
-prime band, below 2^12, from the bytearray sieve, decides closeness with
+prime band, below 2^12, from numerics.sieve_range, decides closeness with
 the exact integer predicate and rounds the CSV delta from an integer
 square root.  The sines run once per distinct distance of an order, not
 once per candidate.  Q is capped at MAX_Q = 2^512, where Q*ceil(Q/r)
@@ -66,7 +66,7 @@ from typing import NamedTuple, Optional
 
 from . import entropy, numerics
 from .errors import ParameterError
-from .numerics import SeedStream, _simple_sieve, euler_phi, prime_factors
+from .numerics import SeedStream, euler_phi, prime_factors
 
 MAX_TOY_MODULUS = 1 << 20
 MAX_Q = 1 << 512
@@ -443,7 +443,7 @@ def compare_moduli(
     # has exactly bit_size bits, so both balanced and lopsided pairs occur.
     half = bit_size // 2
     lo = 1 << (half - 1)
-    primes = [p for p in _simple_sieve(1 << (half + 2)) if p >= lo]
+    primes = numerics.sieve_range(lo, 1 << (half + 2))
     candidates = []
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:

@@ -12,14 +12,19 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, SRC)
 
 
+class WallClockExceeded(Exception):
+    """A wall_clock bound expired.  Not an OSError (as TimeoutError is), so
+    cli.main's `except OSError` cannot turn a hang into exit 1."""
+
+
 @pytest.fixture
 def wall_clock():
-    """Context manager factory: fail the block with TimeoutError after `seconds`."""
+    """Context manager factory: fail the block with WallClockExceeded after `seconds`."""
 
     @contextlib.contextmanager
     def limit(seconds):
         def expire(signum, frame):
-            raise TimeoutError(f"exceeded the {seconds} s wall-clock bound")
+            raise WallClockExceeded(f"exceeded the {seconds} s wall-clock bound")
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.setitimer(signal.ITIMER_REAL, seconds)

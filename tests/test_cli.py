@@ -243,6 +243,32 @@ def test_library_and_every_command_run_without_numpy(tmp_path):
     assert json.loads(result.stderr.splitlines()[-1]) == [cli.EXIT_OK] * 8
 
 
+def test_public_names_are_the_errors_and_the_lazy_names():
+    import proxrsa
+
+    assert proxrsa.__all__ == [
+        "EntropyReport", "InfeasibleError", "KeyGenParams", "KeyPair", "NumericalError",
+        "ParameterError", "ProxRsaError", "RangeTooLargeError", "SearchExhaustedError",
+        "SeedStream", "StreamExhaustedError", "build_small_modulus", "check_entropy_constraint",
+        "derive_residues", "generate_compatible", "generate_keypair", "generate_multiprime",
+        "h2_estimate", "h2_from_delta", "h2_upper_bound", "is_probable_prime", "model_eigenvalues",
+        "multiprime_h2_bound", "proximity_delta", "proximity_holds_exact", "purity_lower",
+        "renyi_entropy", "sieve_range", "validate_key",
+    ]
+
+
+def test_wall_clock_bound_is_not_an_exit_code(monkeypatch, wall_clock):
+    """An expired bound inside cli.main escapes it as itself; an OSError
+    would come back as exit 1 and read as a wrong exit code, not a hang."""
+    import time
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda args: time.sleep(5))
+    with pytest.raises(Exception, match="wall-clock bound") as raised:
+        with wall_clock(0.05):
+            cli.main(["verify", "key.json"])
+    assert not isinstance(raised.value, OSError)
+
+
 def test_shor_compare_never_imports_numpy(cli_probe):
     _, report = cli_probe(
         [
@@ -557,12 +583,14 @@ def test_keygen_multi_infeasible_residues_is_parameter_error(tmp_path, capsys):
     [
         (["keygen", "--k", "64", "--ell", "20000"], "(first 20000 primes) too wide for 32-bit primes"),
         (["keygen-multi", "--k", "64", "--m", "1000000", "--ell", "30"], "k=64 too small for 1000000 primes"),
+        (["keygen", "--k", "400000", "--ell", "199999"], "(first 199999 primes) too wide for 200000-bit primes"),
+        (["keygen", "--k", "200000002", "--ell", "100000000"], "span exceeds 2^28"),
     ],
-    ids=["keygen", "keygen-multi"],
+    ids=["keygen", "keygen-multi", "keygen-wide-m", "keygen-huge-ell"],
 )
 def test_infeasible_widths_exit_3_before_any_draw(argv, message, capsys, wall_clock):
-    """Both took seconds to minutes when M was built and every residue
-    drawn before the width checks ran."""
+    """Each took seconds to minutes, or asked for gigabytes, when M was
+    built and every residue drawn before the width checks ran."""
     with wall_clock(2):
         code, _, err = run(capsys, *argv, "--seed", ZEROS, "--insecure-small")
     assert code == cli.EXIT_BAD_PARAMS

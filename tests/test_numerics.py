@@ -214,11 +214,12 @@ def test_segment_sieve_shares_one_base_list():
     """Windows below 20000 sieved with the base primes of 10^6: even and odd
     ends, windows of one number and windows around 0, 1 and 2."""
     expected = naive_sieve(20_000)
-    base = numerics._base_primes(10**6)
+    base = numerics.sieve_range(0, math.isqrt(10**6))
     windows = [(lo, lo + span) for lo in range(0, 40) for span in range(0, 12)]
     windows += [(lo, lo + span) for lo in range(0, 19_000, 997) for span in (0, 1, 2, 63, 64, 1000)]
     for lo, hi in windows:
-        got = numerics._segment_primes(lo, hi, base)
+        mask = numerics._odd_mask(lo, hi, base, numerics._zero_buffer(hi - lo))
+        got = [2] * (lo <= 2 <= hi) + list(itertools.compress(range(lo | 1, hi + 1, 2), mask))
         assert all(type(p) is int for p in got)
         assert got == [p for p in expected if lo <= p <= hi], (lo, hi)
 
@@ -261,6 +262,7 @@ def test_first_primes():
     assert numerics.first_primes(0) == []
     assert numerics.first_primes(5) == [2, 3, 5, 7, 11]
     assert len(numerics.first_primes(100)) == 100
+    assert numerics.first_primes(199_999)[-1] == 2_750_131
 
 
 def test_prime_factors_and_euler_phi_match_brute_force():

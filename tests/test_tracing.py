@@ -70,11 +70,8 @@ def test_worker_lifecycle_runs_on_todays_names(spec, monkeypatch):
     assert reply["failures"] == []
 
 
-def test_tracer_counts_calls_of_modules_loaded_after_it():
-    """shor_sim loads only when shor-compare runs, after the tracer has
-    built its wrappers, so it must call the traced functions through
-    their home modules for the calls to be counted."""
-    argv = ["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "2"]
+def _traced_calls(argv):
+    """Calls per traced name in one traced CLI run of argv, which must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(BENCH)]))
     result = subprocess.run(
         [sys.executable, "-c", _TRACED_RUN, json.dumps(argv)],
@@ -83,5 +80,22 @@ def test_tracer_counts_calls_of_modules_loaded_after_it():
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["rc"] == 0
-    assert report["calls"]["numerics.stream_uint"] > 0
-    assert report["calls"]["entropy.proximity_holds_exact"] > 0
+    return report["calls"]
+
+
+def test_tracer_counts_calls_of_modules_loaded_after_it():
+    """shor_sim loads only when shor-compare runs, after the tracer has
+    built its wrappers, so it must call the traced functions through
+    their home modules for the calls to be counted."""
+    calls = _traced_calls(["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "2"])
+    assert calls["numerics.stream_uint"] > 0
+    assert calls["entropy.proximity_holds_exact"] > 0
+    assert calls["numerics.sieve_range"] > 0
+
+
+def test_tracer_counts_the_census_base_sieve():
+    """census, too, loads after the wrappers are built and lists its base
+    primes through numerics.sieve_range."""
+    calls = _traced_calls(["census", "--lo", "1000", "--hi", "5000", "--gamma", "1/2"])
+    assert calls["census.census_pairs"] == 1
+    assert calls["numerics.sieve_range"] > 0
