@@ -28,12 +28,10 @@ _LAZY = {
         "h2_estimate",
         "h2_from_delta",
         "h2_upper_bound",
-        "model_eigenvalues",
         "multiprime_h2_bound",
         "proximity_delta",
         "proximity_holds_exact",
         "purity_lower",
-        "renyi_entropy",
     ),
     "keygen": (
         "KeyGenParams",

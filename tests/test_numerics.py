@@ -265,6 +265,39 @@ def test_first_primes():
     assert numerics.first_primes(199_999)[-1] == 2_750_131
 
 
+def test_prime_bound_lies_above_every_prime_to_two_million():
+    primes = naive_sieve(2_000_000)
+    assert len(primes) == 148_933
+    for n, p in enumerate(primes, 1):
+        assert p < numerics._prime_bound(n), n
+    assert [numerics.first_primes(n) for n in range(8)] == [primes[:n] for n in range(8)]
+
+
+def test_first_primes_sieves_once(monkeypatch):
+    """1,700,000 primes run past 16 * count, where a doubling window sieved twice."""
+    sieve, depth, top_level = numerics.sieve_range, [0], []
+
+    def traced(lo, hi):
+        if not depth[0]:
+            top_level.append((lo, hi))
+        depth[0] += 1
+        try:
+            return sieve(lo, hi)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(numerics, "sieve_range", traced)
+    primes = numerics.first_primes(1_700_000)
+    assert top_level == [(0, 28_916_354)]
+    assert len(primes) == 1_700_000 and primes[-1] == 27_290_279
+
+
+def test_first_primes_refuses_a_count_past_the_sieve_span(wall_clock):
+    with wall_clock(1):
+        with pytest.raises(RangeTooLargeError, match="first 100000000 primes"):
+            numerics.first_primes(100_000_000)
+
+
 def test_prime_factors_and_euler_phi_match_brute_force():
     for n in range(1, 400):
         factors = numerics.prime_factors(n)
