@@ -6,6 +6,11 @@ phases gcd(p-1, q-1) / ((p-1)(q-1)), the state distinguishability bound
 (gamma^-2 * N measurements, gamma^-1 * k^1.5 operations, mutual
 information 2*gamma, success probability 2^-H2).  Asymptotic estimates use
 constant 1 and are labeled estimates; nothing here asserts a direction.
+The estimates are 96-bit binary numbers (man, exp), man * 2**exp, replayed
+on integers by proxrsa.reals as mpmath computed them at 96 bits: k^1.5 is
+the cube of a 106-bit square root, and 2^t is exp(t * ln 2) with ln 2 at
+106 bits.  A pair, not a Fraction, because exp(-(p-q)^2 / (8*min(p,q)))
+can lie below 2**-(2**200).
 
 Classical side: exact Fermat-factoring iteration counts, the d^10 > N^3
 private-exponent floor, and the |p-q|^4 > N gap comparison, all in exact
@@ -20,7 +25,8 @@ exact integer arithmetic: they are the only angles where
 value * cos / sqrt(N) can land exactly on an integer (for N = d * square),
 so rounding noise there could flip a floor.  Every other cosine has degree
 at least 2 over Q(sqrt(N)) in a way that keeps the quotient off the
-integers, and mpmath at the requested precision decides it.
+integers, and mpmath at the requested precision decides it; the
+embedding is the one place in the package that loads mpmath.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from mpmath import mp, mpf
-
+from . import reals
 from .entropy import h2_estimate
 from .errors import ParameterError
 from .keyfile import KeyPair
@@ -57,22 +62,28 @@ _SURD_COS = {
 }
 
 
+# Working precision of the quantum estimates, in bits.
+BITS = 96
+
+Binary = tuple[int, int]  # (man, exp): man * 2**exp
+
+
 class QuantumReport(NamedTuple):
     """Order estimates and exact quantities for one prime pair."""
 
     angular_separation: Fraction
-    angular_bound: mpf  # gamma / sqrt(N)
-    distinguishability_bound: mpf
-    measurement_estimate: mpf  # gamma^-2 * N
-    query_estimate: mpf  # gamma^-1
-    quantum_ops_estimate: mpf  # gamma^-1 * k^1.5
-    mutual_info_bound: mpf  # 2 * gamma
-    succ_prob_bound: mpf  # 2^-H2
-    fano_lower_bound: Optional[mpf] = None  # kappa * k * log2(k) / eps, when kappa given
+    angular_bound: Binary  # gamma / sqrt(N)
+    distinguishability_bound: Binary
+    measurement_estimate: Binary  # gamma^-2 * N
+    query_estimate: Binary  # gamma^-1
+    quantum_ops_estimate: Binary  # gamma^-1 * k^1.5
+    mutual_info_bound: Binary  # 2 * gamma
+    succ_prob_bound: Binary  # 2^-H2
+    fano_lower_bound: Optional[Binary] = None  # kappa * k * log2(k) / eps, when kappa given
 
     def to_dict(self) -> dict:
         def fmt(x):
-            return None if x is None else mp.nstr(x, 24, strip_zeros=True)
+            return None if x is None else reals.to_str(x, 24)
 
         fields = self._asdict()
         sep = fields.pop("angular_separation")
@@ -118,12 +129,25 @@ def angular_separation(p: int, q: int) -> Fraction:
     return Fraction(g, (p - 1) * (q - 1))
 
 
-def distinguishability_bound(p: int, q: int) -> mpf:
+def distinguishability_bound(p: int, q: int) -> Binary:
     """Trace-distance bound 2*exp(-(p-q)^2 / (8*min(p,q)))."""
     if p == q:
         raise ParameterError("inputs must be distinct")
-    with mp.workprec(96):
-        return 2 * mp.exp(-mpf((p - q) ** 2) / (8 * min(p, q)))
+    exponent = reals.div(reals.binary(-((p - q) ** 2), BITS), (8 * min(p, q), 0), BITS)
+    man, exp = reals.exp(exponent, BITS)
+    return man, exp + 1
+
+
+def _two_to(t: Binary) -> Binary:
+    """mpf(2) ** t for -1 <= t <= 0: exact at an integer, 1/sqrt(2) at -1/2,
+    else exp(t * ln 2) with ln 2 at BITS + 10 bits."""
+    man, exp = t
+    if exp >= 0:
+        return 1, man << exp
+    if t == (-1, -1):
+        return reals.div((1, 0), reals.sqrt((1, 1), BITS + 10), BITS)
+    ln2 = reals.ln((1, 1), BITS + 10)
+    return reals.exp((man * ln2[0], exp + ln2[1]), BITS)
 
 
 def complexity_report(
@@ -142,24 +166,34 @@ def complexity_report(
     n = p * q
     if k is None:
         k = n.bit_length()
-    with mp.workprec(96):
-        g = mpf(gamma.numerator) / mpf(gamma.denominator)
-        fano = None
-        if kappa is not None:
-            if eps_param is None or eps_param <= 0:
-                raise ParameterError("fano bound needs a positive eps_param")
-            fano = mpf(kappa) * k * mp.log(k, 2) / mpf(eps_param)
-        return QuantumReport(
-            angular_separation=angular_separation(p, q),
-            angular_bound=g / mp.sqrt(mpf(n)),
-            distinguishability_bound=distinguishability_bound(p, q),
-            measurement_estimate=mpf(n) / (g * g),
-            query_estimate=1 / g,
-            quantum_ops_estimate=mpf(k) ** mpf("1.5") / g,
-            mutual_info_bound=2 * g,
-            succ_prob_bound=mpf(2) ** (-h2_estimate(p, q)),
-            fano_lower_bound=fano,
-        )
+    if k < 1:
+        raise ParameterError(f"k must be >= 1: {k}")
+    g = reals.div(reals.binary(gamma.numerator, BITS), reals.binary(gamma.denominator, BITS), BITS)
+    fano = None
+    if kappa is not None:
+        if eps_param is None or eps_param <= 0:
+            raise ParameterError("fano bound needs a positive eps_param")
+        if not (math.isfinite(kappa) and math.isfinite(eps_param)):
+            raise ParameterError("fano bound needs a finite kappa and eps_param")
+        # mp.log(k, 2): ln k over ln 2, both at BITS + 20 bits
+        exact_k = reals.binary(k, k.bit_length())
+        log2_k = reals.div(reals.ln(exact_k, BITS + 20), reals.ln((1, 1), BITS + 20), BITS)
+        kappa_k = reals.mul(reals.binary(kappa, BITS), (k, 0), BITS)
+        fano = reals.div(reals.mul(kappa_k, log2_k, BITS), reals.binary(eps_param, BITS), BITS)
+    separation = angular_separation(p, q)
+    root_k = reals.sqrt(reals.binary(k, BITS), BITS + 10)  # k**1.5 is this root cubed
+    h2 = h2_estimate(p, q)
+    return QuantumReport(
+        angular_separation=separation,
+        angular_bound=reals.div(g, reals.sqrt(reals.binary(n, BITS), BITS), BITS),
+        distinguishability_bound=distinguishability_bound(p, q),
+        measurement_estimate=reals.div(reals.binary(n, BITS), reals.mul(g, g, BITS), BITS),
+        query_estimate=reals.div((1, 0), g, BITS),
+        quantum_ops_estimate=reals.div(reals.rnd(root_k[0] ** 3, 1, 3 * root_k[1], BITS), g, BITS),
+        mutual_info_bound=(g[0], g[1] + 1),
+        succ_prob_bound=_two_to(reals.rnd(-h2.numerator, h2.denominator, 0, BITS)),
+        fano_lower_bound=fano,
+    )
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -217,6 +251,8 @@ def lattice_embed(
         raise ParameterError("value must satisfy 1 <= value < N")
     if n < 1 or m_root < 1:
         raise ParameterError("n and m_root must be >= 1")
+
+    from mpmath import mp, mpf
 
     coeffs: list[int] = []
     with mp.workprec(precision_bits):

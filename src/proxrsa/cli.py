@@ -35,7 +35,31 @@ EXIT_VERIFY_FAILED = 4
 INSECURE_SMALL_THRESHOLD = 2048
 
 
+class _Formatter(argparse.HelpFormatter):
+    """Asks for the terminal width when help is formatted, not when the
+    formatter is made: argparse makes one for each add_argument call, and
+    the width costs an import of shutil."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        self._width_pending = width is None
+        super().__init__(prog, indent_increment, max_help_position, 80 if width is None else width)
+        self._max_help_cap = max_help_position
+
+    def format_help(self):
+        if self._width_pending:
+            import shutil
+
+            self._width = shutil.get_terminal_size().columns - 2
+            self._max_help_position = min(
+                self._max_help_cap, max(self._width - 20, self._indent_increment * 2)
+            )
+        return super().format_help()
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_Formatter, **kwargs)
+
     # argparse exits 2 on parse errors; flag problems are invalid parameters here.
     def error(self, message):
         raise ParameterError(message)
@@ -77,7 +101,9 @@ def _csv_text(rows) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="proxrsa", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # An explicit prog spares argparse formatting a usage line (and asking
+    # for the terminal width) to derive "proxrsa" itself.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     def add_keygen_flags(p):
         # A tunable left out is left out of args too, so KeyGenParams

@@ -88,11 +88,11 @@ def document_to_bytes(doc: dict) -> bytes:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    import tempfile  # with shutil and random, only for commands that write
-
+    """Atomic write: a new file of mode 0o600 in the target directory, then
+    a rename over path; the new file is removed if either step fails."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

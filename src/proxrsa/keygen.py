@@ -211,6 +211,20 @@ def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int]]:
     return n, d
 
 
+def _exponent_sum_floor(ell: int) -> int:
+    """A lower bound on sum(p.bit_length() - 1) over the first ell primes.
+
+    By Rosser, p_n > n ln n; for n in [2^j, 2^(j+1)) that is above
+    2^j * j ln 2, whose floor(log2) is at least
+    j + floor(log2(floor(0.693147 j))).
+    """
+    total = 0
+    for j in range(2, ell.bit_length()):
+        count = min(ell + 1, 2 << j) - (1 << j)
+        total += count * (j + (j * 693147 // 10**6).bit_length() - 1)
+    return total
+
+
 def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
     """The pipeline the three variants share.
 
@@ -223,15 +237,20 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
         raise ParameterError(f"k={params.k} too small for {count} primes")
     what = "inner primes" if variant == "compatible" else "primes"
     try:
-        small_primes = numerics.first_primes(ell)
+        numerics.prime_limit(ell)
     except RangeTooLargeError as exc:
         raise ParameterError(f"ell={ell} is too large: {exc}") from None
     # Each prime p is at least 2^(p.bit_length() - 1), so M has more bits
-    # than the sum of those exponents; refuse before building it.
+    # than the sum of those exponents; refuse before listing the primes when
+    # a lower bound on the sum decides, and before building M otherwise.
+    too_wide = ParameterError(
+        f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}"
+    )
+    if _exponent_sum_floor(ell) >= bits:
+        raise too_wide
+    small_primes = numerics.first_primes(ell)
     if sum(p.bit_length() - 1 for p in small_primes) >= bits:
-        raise ParameterError(
-            f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}"
-        )
+        raise too_wide
     m_modulus = build_small_modulus(ell)
     if m_modulus.bit_length() > bits:
         raise ParameterError(

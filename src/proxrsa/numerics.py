@@ -242,14 +242,20 @@ def _prime_bound(count: int) -> int:
     return 12 if count < 6 else math.ceil(count * (math.log(count) + math.log(math.log(count))))
 
 
-def first_primes(count: int) -> list[int]:
-    """The first `count` primes, from one sieve up to _prime_bound(count)."""
+def prime_limit(count: int) -> int:
+    """An integer above the count-th prime; RangeTooLargeError when it lies
+    past the 2^28 sieve span."""
     if count < 0:
         raise ParameterError("count must be non-negative")
     limit = _prime_bound(count)
     if limit > _MAX_SIEVE_SPAN:
         raise RangeTooLargeError(f"the first {count} primes reach past the 2^28 sieve span")
-    return sieve_range(0, limit)[:count]
+    return limit
+
+
+def first_primes(count: int) -> list[int]:
+    """The first `count` primes, from one sieve up to prime_limit(count)."""
+    return sieve_range(0, prime_limit(count))[:count]
 
 
 def prime_factors(n: int) -> list[int]:

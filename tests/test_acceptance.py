@@ -88,10 +88,10 @@ def test_criterion_02_determinism(tmp_path, capsys):
 
 def test_criterion_03_entropy_model():
     assert entropy.purity_lower(0) == 1
-    assert entropy.purity_lower(2) == mpf("0.5")
+    assert entropy.purity_lower(2) == Fraction(1, 2)
     worst = 0.0
     for i in range(0, 51):
-        delta = mpf(i) / 100
+        delta = Fraction(i, 100)
         excess = float(entropy.h2_from_delta(delta) - entropy.h2_upper_bound(delta))
         worst = max(worst, excess)
         assert excess <= 0.02, f"delta={float(delta)}: excess {excess}"

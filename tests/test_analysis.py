@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath_oracle as oracle
 from fermat_oracle import fermat_search
 from mpmath import mp, mpf
 
@@ -78,19 +79,25 @@ def test_angular_separation_gap_bound():
             assert sep <= Fraction(abs(p - q) + 1, min(p, q) ** 2)
 
 
+def as_float(x):
+    """A report's (man, exp) value as a float."""
+    return math.ldexp(*x)
+
+
 def test_distinguishability_values():
     got = analysis.distinguishability_bound(101, 103)
     with mp.workprec(200):
         want = 2 * mp.exp(mpf(-4) / 808)
-    assert abs(got - want) < mpf(2) ** -60
-    assert abs(float(got) - 1.990123) < 1e-6
+    assert abs(oracle.as_fraction(want) - Fraction(got[0]) * Fraction(2) ** got[1]) < Fraction(1, 2**60)
+    assert got == oracle.as_binary(oracle.distinguishability_bound(101, 103))
+    assert abs(as_float(got) - 1.990123) < 1e-6
     got35 = analysis.distinguishability_bound(3, 5)
-    assert abs(float(got35) - 2 * math.exp(-4 / 24)) < 1e-12
+    assert abs(as_float(got35) - 2 * math.exp(-4 / 24)) < 1e-12
 
 
 def test_distinguishability_decays():
     fixed_min = 101
-    values = [float(analysis.distinguishability_bound(fixed_min, fixed_min + g)) for g in (2, 10, 50, 200)]
+    values = [as_float(analysis.distinguishability_bound(fixed_min, fixed_min + g)) for g in (2, 10, 50, 200)]
     assert values == sorted(values, reverse=True)
     assert values[-1] < 1e-6
 
@@ -98,23 +105,23 @@ def test_distinguishability_decays():
 def test_complexity_report_fields():
     rep = analysis.complexity_report(101, 103, Fraction(1, 10), k=64)
     n = 101 * 103
-    assert abs(rep.measurement_estimate - 100 * n) < 1e-6
-    assert abs(rep.quantum_ops_estimate - 10 * 64**1.5) < 1e-6
-    assert abs(rep.quantum_ops_estimate - 5120) < 1e-6
-    assert abs(float(rep.mutual_info_bound) - 0.2) < 1e-15
+    assert abs(as_float(rep.measurement_estimate) - 100 * n) < 1e-6
+    assert abs(as_float(rep.quantum_ops_estimate) - 10 * 64**1.5) < 1e-6
+    assert abs(as_float(rep.quantum_ops_estimate) - 5120) < 1e-6
+    assert abs(as_float(rep.mutual_info_bound) - 0.2) < 1e-15
     assert rep.fano_lower_bound is None
-    assert float(rep.succ_prob_bound) <= 1.0
+    assert as_float(rep.succ_prob_bound) <= 1.0
 
 
 def test_complexity_report_gamma_one():
     rep = analysis.complexity_report(101, 103, Fraction(1, 1), k=64)
-    assert rep.measurement_estimate == 101 * 103
-    assert rep.query_estimate == 1
+    assert rep.measurement_estimate == (101 * 103, 0)
+    assert rep.query_estimate == (1, 0)
 
 
 def test_complexity_report_query_estimate():
     rep = analysis.complexity_report(101, 103, Fraction(1, 10), k=64)
-    assert abs(float(rep.query_estimate) - 10.0) < 1e-12
+    assert abs(as_float(rep.query_estimate) - 10.0) < 1e-12
 
 
 def test_quantum_report_field_ranges():
@@ -124,12 +131,12 @@ def test_quantum_report_field_ranges():
     for p, q in zip(primes[::7], primes[1::7]):
         rep = analysis.complexity_report(p, q, Fraction(1, 5))
         assert rep.angular_separation > 0
-        assert rep.angular_bound > 0
-        assert 0 <= rep.distinguishability_bound <= 2
-        assert rep.measurement_estimate > 0
-        assert rep.quantum_ops_estimate > 0
-        assert rep.mutual_info_bound >= 0
-        assert 0 <= rep.succ_prob_bound <= 1
+        assert as_float(rep.angular_bound) > 0
+        assert 0 <= as_float(rep.distinguishability_bound) <= 2
+        assert as_float(rep.measurement_estimate) > 0
+        assert as_float(rep.quantum_ops_estimate) > 0
+        assert as_float(rep.mutual_info_bound) >= 0
+        assert 0 <= as_float(rep.succ_prob_bound) <= 1
 
 
 def test_classical_report_quotes_symbolic_costs():
@@ -141,9 +148,16 @@ def test_classical_report_quotes_symbolic_costs():
 def test_complexity_report_fano():
     rep = analysis.complexity_report(101, 103, Fraction(1, 10), k=64, kappa=0.5, eps_param=0.01)
     want = 0.5 * 64 * math.log2(64) / 0.01
-    assert abs(float(rep.fano_lower_bound) - want) < 1e-6
+    assert abs(as_float(rep.fano_lower_bound) - want) < 1e-6
     with pytest.raises(ParameterError):
         analysis.complexity_report(101, 103, Fraction(1, 10), kappa=0.5)
+    # mpmath printed "nan", "0.0" or a complex k^1.5 for these
+    for kappa, eps in [(math.nan, 0.01), (0.5, math.inf), (math.inf, 0.01)]:
+        with pytest.raises(ParameterError, match="finite"):
+            analysis.complexity_report(101, 103, Fraction(1, 10), k=64, kappa=kappa, eps_param=eps)
+    for k in (0, -5):
+        with pytest.raises(ParameterError, match="k must be >= 1"):
+            analysis.complexity_report(101, 103, Fraction(1, 10), k=k)
 
 
 def test_fermat_analytic_matches_attack():

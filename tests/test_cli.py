@@ -326,6 +326,82 @@ def test_importing_entropy_leaves_mpmath_unloaded():
     assert result.stdout == "False\n"
 
 
+def test_key_and_report_commands_leave_mpmath_unloaded(tmp_path, cli_probe):
+    """The reports are replayed on integers (proxrsa.reals); only the
+    lattice embedding, which no command calls, loads mpmath."""
+    keys = [tmp_path / f"{name}.json" for name in ("standard", "multi", "compat")]
+    _, report = cli_probe(
+        [
+            keygen_args(keys[0]),
+            ["keygen-multi", "--m", "3", "--k", "96", "--gamma", "1/4", "--seed", ZEROS,
+             "--insecure-small", "-o", str(keys[1])],
+            ["keygen-compat", "--shift", "20", "--k", "256", "--gamma", "1/4", "--seed", ZEROS,
+             "--insecure-small", "-o", str(keys[2])],
+            *(["analyze", str(key), "-o", str(tmp_path / "report.json")] for key in keys),
+            ["analyze", str(keys[0]), "--kappa", "0.5", "--eps-param", "0.01"],
+        ],
+        site=False,
+    )
+    assert report["codes"] == [cli.EXIT_OK] * 7
+    assert not report["mpmath"] and not report["numpy"]
+    assert "tempfile" not in report["stdlib"]
+
+
+def test_verify_and_census_load_no_shutil(cli_probe):
+    _, report = cli_probe(
+        [
+            ["verify", str(DATA / "keys" / "keygen-k512-seed00.json")],
+            ["census", "--lo", "1000", "--hi", "5000", "--gamma", "1/2"],
+        ],
+        site=False,
+    )
+    assert report["codes"] == [cli.EXIT_OK] * 2
+    assert not {"shutil", "tempfile"} & set(report["stdlib"])
+
+
+@pytest.mark.parametrize("columns", ["60", "100", "200"])
+def test_help_text_is_argparse_s_for_a_fixed_width(columns, monkeypatch):
+    import argparse
+
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    (subparsers,) = parser._subparsers._group_actions
+    parsers = [parser, *subparsers.choices.values()]
+    ours = [p.format_help() for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert ours == [p.format_help() for p in parsers]
+
+
+def test_key_file_is_written_with_mode_600(tmp_path, capsys):
+    key = tmp_path / "key.json"
+    assert run(capsys, *keygen_args(key))[0] == cli.EXIT_OK
+    assert key.stat().st_mode & 0o777 == 0o600 & ~_umask()
+    assert [p.name for p in tmp_path.iterdir()] == ["key.json"]
+
+
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_failed_write_leaves_no_part_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        keyfile.atomic_write_bytes(str(tmp_path / "key.json"), b"data")
+    assert list(tmp_path.iterdir()) == []
+    # a target that is a directory fails the rename for real
+    monkeypatch.undo()
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        keyfile.atomic_write_bytes(str(tmp_path / "dir"), b"data")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+
 def test_census_loads_neither_numpy_nor_mpmath(cli_probe):
     _, report = cli_probe(
         [
@@ -363,9 +439,9 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path, cli_probe):
 
 def test_verify_loads_neither_mpmath_nor_numpy(cli_probe):
     keys = sorted((DATA / "keys").glob("*.json"))
-    assert len(keys) == 9
+    assert len(keys) == 14
     _, report = cli_probe([["verify", str(key)] for key in keys])
-    assert report["codes"] == [cli.EXIT_OK] * 9
+    assert report["codes"] == [cli.EXIT_OK] * 14
     assert not report["mpmath"] and not report["numpy"]
 
 

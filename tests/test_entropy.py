@@ -5,6 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import mpmath_oracle as oracle
+from mpmath_oracle import as_fraction
 from proxrsa import entropy
 from proxrsa.errors import ParameterError
 
@@ -23,7 +25,8 @@ def oracle_purity(delta, prec=400):
 
 def test_proximity_delta_11_13():
     got = entropy.proximity_delta(11, 13)
-    assert abs(got - oracle_delta(11, 13)) < mpf(2) ** -150
+    assert got == as_fraction(oracle.proximity_delta(11, 13))
+    assert abs(got - as_fraction(oracle_delta(11, 13))) < Fraction(1, 2**150)
     assert abs(float(got) - 0.167248) < 1e-6
 
 
@@ -34,18 +37,18 @@ def test_proximity_delta_rejects_equal_inputs():
 
 def test_proximity_delta_defined_for_non_primes():
     # the formula itself carries no primality requirement
-    assert abs(entropy.proximity_delta(3, 12) - mpf(9) / 6) < mpf(2) ** -150
+    assert entropy.proximity_delta(3, 12) == Fraction(9, 6)
 
 
 def test_purity_endpoints_are_exact():
     assert entropy.purity_lower(0) == 1
-    assert entropy.purity_lower(2) == mpf("0.5")
+    assert entropy.purity_lower(2) == Fraction(1, 2)
 
 
 def test_purity_at_one_tenth():
-    got = entropy.purity_lower(mpf("0.1"))
-    want = oracle_purity(mpf("0.1"))
-    assert abs(got - want) < mpf(2) ** -150
+    got = entropy.purity_lower(0.1)
+    assert got == as_fraction(oracle.purity_lower(0.1))
+    assert abs(got - as_fraction(oracle_purity(0.1))) < Fraction(1, 2**150)
     # direct arithmetic: 4*0.01/4.41 = 0.0090703..., (1+sqrt(0.9909297))/2
     assert abs(float(got) - 0.9977273) < 1e-7
 
@@ -62,7 +65,9 @@ def test_h2_estimate_3_5():
     assert abs(float(delta) - 0.516398) < 1e-6
     with mp.workprec(400):
         want = -mp.log(oracle_purity(delta), 2)
-    assert abs(entropy.h2_estimate(3, 5) - want) < mpf(2) ** -140
+    got = entropy.h2_estimate(3, 5)
+    assert got == as_fraction(oracle.h2_estimate(3, 5))
+    assert abs(got - as_fraction(want)) < Fraction(1, 2**140)
 
 
 def test_h2_estimate_composition():
@@ -73,14 +78,16 @@ def test_h2_estimate_composition():
 def test_h2_upper_bound_values():
     assert entropy.h2_upper_bound(0) == 0
     assert entropy.h2_upper_bound(2) == 2
-    assert abs(float(entropy.h2_upper_bound(mpf("0.1"))) - 0.140779) < 1e-6
+    assert abs(float(entropy.h2_upper_bound(0.1)) - 0.140779) < 1e-6
+    assert entropy.h2_upper_bound(0.1) == as_fraction(oracle.h2_upper_bound(0.1))
 
 
 def test_multiprime_bound_values():
     assert entropy.multiprime_h2_bound(2, 0) == 1
     assert entropy.multiprime_h2_bound(2, 2) == 3
-    want = 2 + float(entropy.h2_upper_bound(mpf("0.1")))
-    assert abs(float(entropy.multiprime_h2_bound(4, mpf("0.1"))) - want) < 1e-12
+    want = 2 + float(entropy.h2_upper_bound(0.1))
+    assert abs(float(entropy.multiprime_h2_bound(4, 0.1)) - want) < 1e-12
+    assert entropy.multiprime_h2_bound(3, 0.1) == as_fraction(oracle.multiprime_h2_bound(3, 0.1))
 
 
 def test_check_entropy_constraint_accepts_close_pair():
@@ -130,10 +137,10 @@ def test_h2_strictly_increasing(a, b):
 def test_model_estimate_within_closed_form_cap_on_grid():
     """H2(delta) stays within the 2*log2(1+delta/2) cap plus cubic slack."""
     for i in range(0, 51):
-        delta = mpf(i) / 100
+        delta = Fraction(i, 100)
         estimate = entropy.h2_from_delta(delta)
         cap = entropy.h2_upper_bound(delta)
-        assert estimate <= cap + mpf("0.02"), f"delta={float(delta)}"
+        assert estimate <= cap + Fraction(2, 100), f"delta={float(delta)}"
 
 
 @given(st.integers(2, 10**9), st.integers(2, 10**9))
@@ -151,9 +158,9 @@ def test_generic_renyi_collision_case_matches_model():
     """Order-2 Renyi entropy -log2(sum l^2) of the spectrum (1 +- R^(1/4))/2,
     R = 1 - 4d^2/(2+d)^2, whose squares sum to the purity floor."""
     for i in (0, 7, 23, 50):
-        delta = mpf(i) / 100
         with mp.workprec(200):
+            delta = mpf(i) / 100
             spread = (1 - 4 * delta**2 / (2 + delta) ** 2) ** mpf("0.25")
             got = -mp.log(((1 + spread) / 2) ** 2 + ((1 - spread) / 2) ** 2, 2)
-            want = entropy.h2_from_delta(delta)
-        assert abs(got - want) < mpf(2) ** -120
+        want = entropy.h2_from_delta(Fraction(i, 100))
+        assert abs(as_fraction(got) - want) < Fraction(1, 2**120)

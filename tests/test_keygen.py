@@ -400,3 +400,26 @@ def test_validator_rejects_random_single_field_tampering():
             doc["residues"][idx] = hex((int(doc["residues"][idx], 16) + delta) % kp.m_modulus)
         failures = validate.validate_key(keyfile.load_key_document(doc))
         assert failures != [], f"undetected tamper: {field} +{delta}"
+
+
+def test_an_ell_too_wide_is_refused_before_listing_primes(monkeypatch, wall_clock):
+    """Listing the first 2,000,000 primes took 1.35 s and 129 MB before the
+    width check; a lower bound on the width from ell alone refuses first."""
+    from proxrsa import cli
+
+    def listed(count):
+        raise AssertionError("primes listed before the refusal")
+
+    monkeypatch.setattr(numerics, "first_primes", listed)
+    with wall_clock(1):
+        with pytest.raises(ParameterError, match=r"\(first 2000000 primes\) too wide for 4000000-bit primes"):
+            keygen.generate_keypair(KeyGenParams(k=8_000_000, seed=ZERO_SEED, ell=2_000_000))
+        argv = ["keygen", "--k", "8000000", "--ell", "2000000", "--insecure-small", "--seed", "00" * 32]
+        assert cli.main(argv) == cli.EXIT_BAD_PARAMS
+
+
+def test_the_ell_width_floor_is_a_lower_bound():
+    primes = numerics.first_primes(20_000)
+    exponents = [p.bit_length() - 1 for p in primes]
+    for ell in [*range(1, 300), 1000, 4095, 4096, 20_000]:
+        assert keygen._exponent_sum_floor(ell) <= sum(exponents[:ell]), ell
