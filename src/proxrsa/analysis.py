@@ -17,16 +17,14 @@ private-exponent floor, and the |p-q|^4 > N gap comparison, all in exact
 integer arithmetic.
 
 The lattice embedding maps a residue to the coefficient vector
-c[i] = floor(value * Re(zeta^i) / sqrt(N)) with zeta = exp(2*pi*i/m_root).
-The real part is taken before flooring (flooring a complex number is
-undefined).  Angles whose cosine is a rational multiple of sqrt(d),
-d in {1, 2, 3} (0, +-1/2, +-1, +-sqrt(2)/2, +-sqrt(3)/2), are evaluated in
-exact integer arithmetic: they are the only angles where
-value * cos / sqrt(N) can land exactly on an integer (for N = d * square),
-so rounding noise there could flip a floor.  Every other cosine has degree
-at least 2 over Q(sqrt(N)) in a way that keeps the quotient off the
-integers, and mpmath at the requested precision decides it; the
-embedding is the one place in the package that loads mpmath.
+c[i] = floor(value * Re(zeta^i) / sqrt(N)) with zeta = exp(2*pi*i/m_root),
+decided in exact integer arithmetic.  The real part is taken before
+flooring (flooring a complex number is undefined).  By Niven's theorem
+cos^2 of the angle is rational only at multiples of 1/8 and 1/12 of a
+turn; there one isqrt decides the floor, exact integer quotients
+included.  At every other angle the quotient is irrational, and
+fixed-point cosines with a stated error bound bracket it until both ends
+of the bracket floor alike.
 """
 
 from __future__ import annotations
@@ -37,30 +35,9 @@ from typing import NamedTuple, Optional
 
 from . import reals
 from .entropy import h2_estimate
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .keyfile import KeyPair
 from .numerics import is_probable_prime
-
-# turn -> (a, d, c) with cos(2*pi*turn) = a * sqrt(d) / c.
-_SURD_COS = {
-    Fraction(0, 1): (1, 1, 1),
-    Fraction(1, 12): (1, 3, 2),
-    Fraction(1, 8): (1, 2, 2),
-    Fraction(1, 6): (1, 1, 2),
-    Fraction(1, 4): (0, 1, 1),
-    Fraction(1, 3): (-1, 1, 2),
-    Fraction(3, 8): (-1, 2, 2),
-    Fraction(5, 12): (-1, 3, 2),
-    Fraction(1, 2): (-1, 1, 1),
-    Fraction(7, 12): (-1, 3, 2),
-    Fraction(5, 8): (-1, 2, 2),
-    Fraction(2, 3): (-1, 1, 2),
-    Fraction(3, 4): (0, 1, 1),
-    Fraction(5, 6): (1, 1, 2),
-    Fraction(7, 8): (1, 2, 2),
-    Fraction(11, 12): (1, 3, 2),
-}
-
 
 # Working precision of the quantum estimates, in bits.
 BITS = 96
@@ -196,15 +173,11 @@ def complexity_report(
     )
 
 
-def _ceil_sqrt(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
 def fermat_iterations_analytic(p: int, q: int) -> int:
     """Iteration at which Fermat's method on N = p*q finds x^2 - N square,
-    counting x = ceil(sqrt(N)) as the first: (p+q)/2 - ceil(sqrt(N)) + 1."""
-    return (p + q) // 2 - _ceil_sqrt(p * q) + 1
+    counting x = ceil(sqrt(N)) as the first: (p+q)/2 - ceil(sqrt(N)) + 1,
+    with ceil(sqrt(N)) = isqrt(N - 1) + 1."""
+    return (p + q) // 2 - math.isqrt(p * q - 1)
 
 
 def classical_report(key: KeyPair, fermat_budget: int) -> ClassicalReport:
@@ -233,41 +206,61 @@ def classical_report(key: KeyPair, fermat_budget: int) -> ClassicalReport:
     )
 
 
-def _floor_surd_ratio(a_num: int, radicand: int, den: int) -> int:
-    """floor(a_num * sqrt(radicand) / den) in exact integer arithmetic (den > 0)."""
-    square = a_num * a_num * radicand
-    mag = math.isqrt(square // (den * den))
-    if a_num >= 0 or mag * mag * den * den == square:
-        return mag if a_num >= 0 else -mag
-    return -mag - 1
+# cos^2(2*pi*t) = (1 + cos(2*pi*s)) / 2 with s = 2t, as (num, den), by the
+# denominator of s.  By Niven's theorem cos(2*pi*s) is rational only for the
+# denominators 1, 2, 3, 4 and 6, where it is 1, -1, -1/2, 0 and 1/2.
+_RATIONAL_COS_SQUARED = {1: (1, 1), 2: (0, 1), 3: (1, 4), 4: (1, 2), 6: (3, 4)}
 
 
-def lattice_embed(
-    value: int, n_modulus: int, n: int, m_root: int, precision_bits: int = 128
-) -> list[int]:
+def _cos_fixed(num: int, den: int, w: int) -> int:
+    """cos(2*pi*num/den) * 2**w for 0 <= num/den <= 1/4, off by less than
+    4*w for w >= 64: theta <= pi/2 is off by under 2*w + 21 (from pi_fixed),
+    theta^2 by under 1 (cos moves half as much), and each of the under
+    w/2 + 2 Taylor terms by under 2, the tail by under 3."""
+    theta = 2 * num * reals.pi_fixed(w) // den
+    square = theta * theta >> w
+    total, term, j = 0, 1 << w, 0
+    while term:
+        total += -term if j & 1 else term
+        j += 1
+        term = (term * square >> w) // ((2 * j - 1) * 2 * j)
+    return total
+
+
+def _floor_cos_ratio(value: int, n_modulus: int, k: int, m: int) -> int:
+    """floor(value * cos(2*pi*k/m) / sqrt(N)) for 0 <= k < m, in integers:
+    an isqrt where cos^2 is rational, else a bracket from _cos_fixed that
+    doubles its width until both ends floor alike (the quotient is then
+    irrational, so never an integer)."""
+    negative = m < 4 * k < 3 * m
+    square = _RATIONAL_COS_SQUARED.get(m // math.gcd(2 * k, m))
+    if square is not None:
+        num, den = value * value * square[0], n_modulus * square[1]
+        mag = math.isqrt(num // den)
+        if not negative:
+            return mag
+        return -mag if mag * mag * den == num else -mag - 1
+    a = min(k, m - k)
+    a, b = (a, m) if 4 * a < m else (m - 2 * a, 2 * m)  # |cos(2*pi*k/m)| = cos(2*pi*a/b)
+    w = max(2 * value.bit_length() - n_modulus.bit_length(), 0) // 2 + 64
+    for _ in range(8):  # widths tried before giving up
+        c, scale = _cos_fixed(a, b, w), n_modulus << 2 * w
+        lo, hi = (math.isqrt((value * max(c + d, 0)) ** 2 // scale) for d in (-4 * w, 4 * w))
+        if lo == hi:
+            return -lo - 1 if negative else lo
+        w *= 2
+    raise NumericalError(f"lattice coefficient undecided at {w // 2} bits")
+
+
+def lattice_embed(value: int, n_modulus: int, n: int, m_root: int) -> list[int]:
     """Coefficient vector floor(value * Re(zeta^i) / sqrt(N)), i = 0..n-1,
-    with floors toward -infinity."""
+    with floors toward -infinity, decided exactly."""
     if not 1 <= value < n_modulus:
         raise ParameterError("value must satisfy 1 <= value < N")
     if n < 1 or m_root < 1:
         raise ParameterError("n and m_root must be >= 1")
-
-    from mpmath import mp, mpf
-
-    coeffs: list[int] = []
-    with mp.workprec(precision_bits):
-        root_n = mp.sqrt(mpf(n_modulus))
-        for i in range(n):
-            turn = Fraction(i % m_root, m_root)
-            surd = _SURD_COS.get(turn)
-            if surd is not None:
-                # value * a*sqrt(d)/c / sqrt(N) = value*a * sqrt(d*N) / (c*N)
-                a, d, c = surd
-                coeffs.append(_floor_surd_ratio(value * a, d * n_modulus, c * n_modulus))
-            else:
-                cos_i = mp.cos(2 * mp.pi * turn.numerator / turn.denominator)
-                coeffs.append(int(mp.floor(mpf(value) * cos_i / root_n)))
-    return coeffs
+    row = [_floor_cos_ratio(value, n_modulus, k, m_root) for k in range(min(n, m_root))]
+    return [row[i % m_root] for i in range(n)]
 
 
 def embedding_gap_norm(
@@ -277,7 +270,12 @@ def embedding_gap_norm(
     stays under gamma * sqrt(n).  The comparison is reported, not asserted."""
     psi_p, psi_q = (lattice_embed(v, n_modulus, n, m_root) for v in (p, q))
     sq = sum((a - b) ** 2 for a, b in zip(psi_p, psi_q))
+    shift = max(sq.bit_length() - 1000, 0) // 2  # so no int past the float range meets sqrt
+    try:
+        norm = math.ldexp(math.sqrt(sq >> 2 * shift), shift)
+    except OverflowError:
+        raise ParameterError("embedding gap norm exceeds the float range") from None
     if gamma is None:
-        return math.sqrt(sq), None
+        return norm, None
     # norm < gamma*sqrt(n)  <=>  den^2 * norm^2 < num^2 * n, exactly.
-    return math.sqrt(sq), gamma.denominator**2 * sq < gamma.numerator**2 * n
+    return norm, gamma.denominator**2 * sq < gamma.numerator**2 * n

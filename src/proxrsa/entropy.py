@@ -18,8 +18,8 @@ rounded to 192 bits, a correctly rounded +, -, *, / or square root, and
 log2 as ln at 212 bits over ln 2 at 212 bits).  So the report strings and
 the generator's H2 < budget gate are those of that computation.  The
 public functions take an int, float or Fraction and return the exact
-binary value as a Fraction.  Proximity decisions against a rational gamma
-are made in exact integer arithmetic, never floating point.
+binary value as a Fraction.  proximity_holds_exact (from numerics) decides
+proximity against a rational gamma in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional, Union
 
 from . import reals
 from .errors import ParameterError
+from .numerics import proximity_holds_exact
 
 PRECISION_BITS = 192
 
@@ -153,25 +154,11 @@ def multiprime_h2_bound(m: int, gamma: Real) -> Fraction:
     return _fraction(reals.add(log_m, _cap(gamma), PRECISION_BITS))
 
 
-def proximity_holds_exact(p: int, q: int, gamma: Fraction) -> bool:
-    """Decide |p - q| < gamma*sqrt(p*q) in exact integer arithmetic.
-
-    Equivalent to den^2 * (p-q)^2 < num^2 * p * q, so boundary cases can
-    never be misclassified by rounding.
-    """
-    num, den = gamma.numerator, gamma.denominator
-    return den * den * (p - q) * (p - q) < num * num * p * q
-
-
 @lru_cache(maxsize=64)
 def _budget(gamma: Fraction, beta: float) -> tuple[int, int]:
+    """Generation threshold beta * log2(1/gamma)."""
     inverse = reals.div((1, 0), _bin(gamma), PRECISION_BITS)
     return reals.mul(_bin(beta), _log2(inverse), PRECISION_BITS)
-
-
-def entropy_budget_bits(gamma: Fraction, beta: float) -> Fraction:
-    """Generation threshold beta * log2(1/gamma)."""
-    return _fraction(_budget(gamma, beta))
 
 
 def check_entropy_constraint(

@@ -1,4 +1,4 @@
-"""Integer primitives: primality, prime search, sieving and seeded randomness.
+"""Integer primitives: primality, sieving, seeded randomness, exact proximity.
 
 Python's built-in ``int`` is the arbitrary-precision integer type used
 throughout; every routine here accepts and returns plain ints, and gcd,
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from .errors import (
     ParameterError,
@@ -281,3 +282,9 @@ def euler_phi(n: int) -> int:
     for p in prime_factors(n):
         phi -= phi // p
     return phi
+
+
+def proximity_holds_exact(p: int, q: int, gamma: Fraction) -> bool:
+    """|p - q| < gamma*sqrt(p*q), decided exactly: den^2 (p-q)^2 < num^2 p q."""
+    num, den = gamma.numerator, gamma.denominator
+    return den * den * (p - q) * (p - q) < num * num * p * q

@@ -64,7 +64,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import entropy, numerics
+from . import numerics
 from .errors import ParameterError
 from .numerics import SeedStream, euler_phi, prime_factors
 
@@ -401,7 +401,7 @@ def _sample_indices(stream: SeedStream, size: int, count: int) -> list[int]:
 
 
 def _delta_float(p: int, q: int) -> float:
-    """float(entropy.proximity_delta(p, q)), |p - q|/sqrt(p*q) rounded once, without mpmath.
+    """float(entropy.proximity_delta(p, q)), |p - q|/sqrt(p*q) rounded once.
 
     a = isqrt(gap^2 * 4^k // (p*q)) is floor(delta * 2^k), so delta lies in
     [a, a + 1) / 2^k, and at a only when the root is exact.  a has over 64
@@ -454,7 +454,7 @@ def compare_moduli(
                 break
             candidates.append((p, q, _delta_float(p, q)))
 
-    close_pool = [c for c in candidates if entropy.proximity_holds_exact(c[0], c[1], close_gamma)]
+    close_pool = [c for c in candidates if numerics.proximity_holds_exact(c[0], c[1], close_gamma)]
     by_delta = sorted(candidates, key=lambda c: c[2])
     control_pool = by_delta[3 * len(by_delta) // 4 :]
     if len(close_pool) < n_pairs or len(control_pool) < n_pairs:

@@ -90,14 +90,14 @@ def cli_probe():
     loaded beyond the probe's own imports (as "csv", "decimal" and so
     on), and the interpreter's own peak RSS in kB (VmHWM).  Unlike
     ru_maxrss, VmHWM does not start from the high-water mark of the parent
-    process that started the child.  site=False starts the child with -S,
-    so that a module some site hook imports at start (a .pth file may load
-    shutil and tempfile) cannot hide one that a command loads.
+    process that started the child.  The child starts with -S, so that a
+    module some site hook imports at start (a .pth file may load shutil
+    and tempfile) cannot hide one that a command loads.
     """
 
-    def run(argvs, site=True):
+    def run(argvs):
         result = subprocess.run(
-            [sys.executable, *([] if site else ["-S"]), "-c", _PROBE, json.dumps(argvs)],
+            [sys.executable, "-S", "-c", _PROBE, json.dumps(argvs)],
             capture_output=True,
             text=True,
             timeout=120,

@@ -274,7 +274,7 @@ def test_criterion_09_lattice_embedding():
         value = 1 + stream_uint(stream, n_mod - 1)
         n = 1 + stream_uint(stream, 64)
         m_root = 1 + stream_uint(stream, 64)
-        got = analysis.lattice_embed(value, n_mod, n, m_root, precision_bits=128)
+        got = analysis.lattice_embed(value, n_mod, n, m_root)
         assert got == _oracle_embed_512(value, n_mod, n, m_root), (
             value, n_mod, n, m_root,
         )
@@ -283,7 +283,7 @@ def test_criterion_09_lattice_embedding():
     assert norm == 0.0
     norm2, _ = analysis.embedding_gap_norm(2, 3, 100, 8, 8)
     assert norm2 == 0.0  # identical coefficient vectors, distinct inputs
-    _report(9, "128-bit embedding matches 512-bit oracle on 100 seeded inputs; equal embeddings give norm 0")
+    _report(9, "exact embedding matches 512-bit oracle on 100 seeded inputs; equal embeddings give norm 0")
 
 
 # -- 10. empirical probe ---------------------------------------------------------------

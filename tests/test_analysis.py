@@ -9,7 +9,7 @@ from fermat_oracle import fermat_search
 from mpmath import mp, mpf
 
 from proxrsa import analysis
-from proxrsa.errors import ParameterError
+from proxrsa.errors import NumericalError, ParameterError
 from proxrsa.numerics import sieve_range
 
 
@@ -213,6 +213,27 @@ def oracle_embed(value, n_modulus, n, m_root, prec):
     return coeffs
 
 
+def exact_oracle(value, n_modulus, n, m_root):
+    """oracle_embed at 2*bits + 256 bits, and where a quotient lies within
+    2^-(bits + 128) of an integer z, that z if z = value*cos/sqrt(N)
+    exactly: z^2 * N = value^2 * cos^2, with cos^2 then a multiple of 1/4
+    read off the high-precision value."""
+    prec = 2 * n_modulus.bit_length() + 256
+    out = oracle_embed(value, n_modulus, n, m_root, prec)
+    with mp.workprec(prec):
+        root = mp.sqrt(mpf(n_modulus))
+        for i in range(n):
+            cos = mp.cos(2 * mp.pi * (i % m_root) / m_root)
+            x = mpf(value) * cos / root
+            z = int(mp.nint(x))
+            if abs(x - z) < mpf(2) ** -(prec // 2):
+                quarters = int(mp.nint(4 * cos**2))
+                assert abs(4 * cos**2 - quarters) < mpf(2) ** -(prec // 2)
+                if 4 * z * z * n_modulus == value * value * quarters and (z == 0 or (z < 0) == (cos < 0)):
+                    out[i] = z
+    return out
+
+
 def test_lattice_embed_worked_example():
     emb = analysis.lattice_embed(3, 15, 4, 4)
     assert emb == [0, 0, -1, 0]
@@ -240,17 +261,36 @@ def test_lattice_embed_domain_errors():
 def test_lattice_embed_matches_oracle_on_irrational_angles():
     # m_root values whose angles avoid the rational-cosine table entirely
     for value, n_mod, n, m_root in [(7, 53, 16, 7), (25, 97, 32, 9), (999, 2003, 24, 11)]:
-        got = analysis.lattice_embed(value, n_mod, n, m_root, precision_bits=128)
+        got = analysis.lattice_embed(value, n_mod, n, m_root)
         assert got == oracle_embed(value, n_mod, n, m_root, 512)
 
 
 def test_lattice_embed_exact_on_surd_cosines():
     # 2 * cos(5*pi/6) / sqrt(3) = -1 and 4 * cos(3*pi/4) / sqrt(8) = -1 exactly:
-    # the floors must not depend on rounding at any precision.
-    for bits in (53, 128, 512):
-        assert analysis.lattice_embed(2, 3, 6, 12, precision_bits=bits) == [1, 1, 0, 0, -1, -1]
-        assert analysis.lattice_embed(4, 8, 4, 8, precision_bits=bits) == [1, 1, 0, -1]
-        assert analysis.lattice_embed(6, 8, 4, 8, precision_bits=bits) == [2, 1, 0, -2]
+    # the floors must not depend on rounding.
+    assert analysis.lattice_embed(2, 3, 6, 12) == [1, 1, 0, 0, -1, -1]
+    assert analysis.lattice_embed(4, 8, 4, 8) == [1, 1, 0, -1]
+    assert analysis.lattice_embed(6, 8, 4, 8) == [2, 1, 0, -2]
+    # quotients of exactly +-1 and +-2 at every rational cos^2, where the
+    # high-precision floor alone may land one below
+    for value, n_mod, n, m_root in [(2, 4, 12, 12), (6, 12, 12, 12), (12, 108, 12, 12), (10, 50, 8, 8)]:
+        assert analysis.lattice_embed(value, n_mod, n, m_root) == exact_oracle(value, n_mod, n, m_root)
+
+
+def test_lattice_embed_large_modulus():
+    """At N = 2^600 + 3 the quotients lie near 2^300; 128 bits of mpmath
+    missed two of them by about 10^50."""
+    n_mod = 2**600 + 3
+    got = analysis.lattice_embed(n_mod - 1, n_mod, 3, 7)
+    assert got == oracle_embed(n_mod - 1, n_mod, 3, 7, 4096)
+
+
+def test_lattice_embed_gives_up_at_the_bound(monkeypatch):
+    # A cosine bracket that never shrinks away from an integer quotient:
+    # 20 * (1/2) / sqrt(100) = 1 sits inside every bracket.
+    monkeypatch.setattr(analysis, "_cos_fixed", lambda num, den, w: 1 << (w - 1))
+    with pytest.raises(NumericalError, match="undecided"):
+        analysis.lattice_embed(20, 100, 2, 7)
 
 
 def test_embedding_gap_norm():
@@ -275,16 +315,31 @@ def test_embedding_gap_norm_single_dim_is_zero_or_one():
     assert analysis.embedding_gap_norm(9, 11, 100, 1, 4)[0] == 1.0
 
 
+def test_embedding_gap_norm_past_the_float_range_of_its_square():
+    # the squared norm has no float; the norm, near 2^590, has
+    p, q, n_mod = 2**1190 + 1, 5, 2**1200 + 3
+    psi_p, psi_q = (analysis.lattice_embed(v, n_mod, 4, 7) for v in (p, q))
+    sq = sum((a - b) ** 2 for a, b in zip(psi_p, psi_q))
+    assert sq.bit_length() > 1024
+    root = math.isqrt(sq)
+    norm, within = analysis.embedding_gap_norm(p, q, n_mod, 4, 7, Fraction(1, 2))
+    assert norm == pytest.approx(root, rel=2**-52) and within is False
+    assert analysis.embedding_gap_norm(p, q, n_mod, 4, 7, Fraction(root + 1)) == (norm, True)
+    # a norm near 2^2100 has no float either
+    n_mod = 2**4200 + 1
+    with pytest.raises(ParameterError, match="float range"):
+        analysis.embedding_gap_norm(n_mod - 1, 2, n_mod, 2, 4)
+
+
 @given(
-    value=st.integers(1, 10**9),
-    n_mod=st.integers(2, 10**9),
-    n=st.integers(1, 16),
-    m_root=st.integers(1, 16),
+    n_bits=st.sampled_from(range(2, 2049)),
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(1, 24),
+    m_root=st.sampled_from(range(1, 49)),
 )
-@settings(max_examples=60, deadline=None)
-def test_lattice_embed_precision_stability(value, n_mod, n, m_root):
-    if value >= n_mod:
-        value = n_mod - 1
-    lo = analysis.lattice_embed(value, n_mod, n, m_root, precision_bits=128)
-    hi = analysis.lattice_embed(value, n_mod, n, m_root, precision_bits=512)
-    assert lo == hi
+@settings(max_examples=300, deadline=None)
+def test_lattice_embed_matches_the_oracle(n_bits, rng, n, m_root):
+    n_mod = rng.randrange(max(2, 1 << (n_bits - 1)), 1 << n_bits)
+    value_bits = rng.randint(1, (n_mod - 1).bit_length())
+    value = rng.randrange(1 << (value_bits - 1), min(1 << value_bits, n_mod))
+    assert analysis.lattice_embed(value, n_mod, n, m_root) == exact_oracle(value, n_mod, n, m_root)

@@ -327,8 +327,7 @@ def test_importing_entropy_leaves_mpmath_unloaded():
 
 
 def test_key_and_report_commands_leave_mpmath_unloaded(tmp_path, cli_probe):
-    """The reports are replayed on integers (proxrsa.reals); only the
-    lattice embedding, which no command calls, loads mpmath."""
+    """The reports are replayed on integers (proxrsa.reals)."""
     keys = [tmp_path / f"{name}.json" for name in ("standard", "multi", "compat")]
     _, report = cli_probe(
         [
@@ -339,8 +338,7 @@ def test_key_and_report_commands_leave_mpmath_unloaded(tmp_path, cli_probe):
              "--insecure-small", "-o", str(keys[2])],
             *(["analyze", str(key), "-o", str(tmp_path / "report.json")] for key in keys),
             ["analyze", str(keys[0]), "--kappa", "0.5", "--eps-param", "0.01"],
-        ],
-        site=False,
+        ]
     )
     assert report["codes"] == [cli.EXIT_OK] * 7
     assert not report["mpmath"] and not report["numpy"]
@@ -352,8 +350,7 @@ def test_verify_and_census_load_no_shutil(cli_probe):
         [
             ["verify", str(DATA / "keys" / "keygen-k512-seed00.json")],
             ["census", "--lo", "1000", "--hi", "5000", "--gamma", "1/2"],
-        ],
-        site=False,
+        ]
     )
     assert report["codes"] == [cli.EXIT_OK] * 2
     assert not {"shutil", "tempfile"} & set(report["stdlib"])
@@ -446,10 +443,17 @@ def test_verify_loads_neither_mpmath_nor_numpy(cli_probe):
 
 
 def test_commands_load_only_their_own_modules(tmp_path, cli_probe):
-    _, report = cli_probe([["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "2"]])
-    assert report["codes"] == [cli.EXIT_OK]
-    assert "proxrsa.shor_sim" in report["modules"]
-    assert not {"proxrsa.keygen", "proxrsa.validate", "proxrsa.analysis", "proxrsa.census"} & set(report["modules"])
+    for argv in (
+        ["shor-compare", "--bits", "8", "--pairs", "1", "--gamma", "0.35", "--bases", "2"],
+        ["shor-sim", "--N", "221"],
+    ):
+        _, report = cli_probe([argv])
+        assert report["codes"] == [cli.EXIT_OK]
+        assert "proxrsa.shor_sim" in report["modules"]
+        assert not {
+            "proxrsa.keygen", "proxrsa.validate", "proxrsa.analysis", "proxrsa.census",
+            "proxrsa.entropy", "proxrsa.reals",
+        } & set(report["modules"])
     key = tmp_path / "key.json"
     _, report = cli_probe([keygen_args(key)])
     assert report["codes"] == [cli.EXIT_OK]
