@@ -18,13 +18,13 @@ threshold gap G(p) is an integer square root away (_max_gap_of), never
 falling as p grows.  So neither census tests pairs one by one.
 census_pairs counts primes with mask.count(1) and counts the failing
 pairs: a pair fails when at least G(p)//2 zero bytes follow p, so
-mask.find jumps from one such run to the next, G recomputed at each, and
-once G//2 has reached its value at the segment's last prime, one
-mask.count finds the rest.  census_progression reads each residue class
-as a strided slice of the mask into an array('q'), then counts each
-class-a p's partners in (p, p + G(p)] with one merge walk over the
-class-b primes; G(p) starts from the previous p's G, so most p need one
-comparison and no square root.  Both stay exact.
+mask.find jumps to the next such run for the current G//2, and when it
+follows the current prime, one mask.count counts every such run up to
+where G//2 rises (found by bisection).  census_progression reads each
+residue class as a strided slice of the mask into an array('q'), then
+counts each class-a p's partners in (p, p + G(p)] with one merge walk
+over the class-b primes; G(p) starts from the previous p's G, so most p
+need one comparison and no square root.  Both stay exact.
 
 reference_density is gamma * x / ln(x)^2 at x = range_hi with the natural
 logarithm (the analytic convention); the ratio column is reported for
@@ -33,6 +33,7 @@ inspection and never asserted against a threshold.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from array import array
@@ -142,37 +143,27 @@ def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
     max_gap = _max_gap_of(gamma)
     prev: Optional[int] = 2 if lo <= 2 <= hi else None  # the masks hold odd numbers only
     prime_count = 0 if prev is None else 1
-    failures = gap = 0
+    failures = 0
     for odd, mask, needles in _segments(lo, hi):
         i = mask.find(1)
         if i < 0:
             continue
         if prev is not None and not _proximate(prev, odd + 2 * i, gamma):
             failures += 1
-        # The pair from p = odd + 2*i fails when its gap exceeds G(p), that is
-        # when at least G(p)//2 zero bytes follow mask[i].  G never falls as p
-        # grows, so each failure lies at or after the first such run for the
-        # current p.  Those runs are settled one by one, G recomputed at each,
-        # until G//2 reaches its value at the segment's last prime; from there
-        # every such run is a failure but the one that ends the segment.
-        end, last = len(mask), mask.rfind(1)
-        final = max_gap(odd + 2 * last) // 2
-        while True:
-            gap = max_gap(odd + 2 * i, gap)
-            run = gap // 2
-            if run >= end - i:
-                break
+        # The pair from the prime p = odd + 2*i fails when G(p)//2 zero bytes
+        # and then a prime follow mask[i].  G never falls as p grows, so a
+        # run after a later prime moves i there, and a run after mask[i]
+        # opens a stretch of equal G//2 whose runs all fail.
+        last = mask.rfind(1)
+        while (run := max_gap(odd + 2 * i) // 2) < last - i:
             needle = needles[: run + 1]
-            if run == final:
-                failures += mask.count(needle, i) - (end - 1 - last >= run)
+            hit = mask.find(needle, i, last + run)
+            if hit == i:
+                hit = bisect.bisect_right(range(last), run, lo=i, key=lambda j: max_gap(odd + 2 * j) // 2)
+                failures += mask.count(needle, i, hit + run)
+            elif hit < 0:
                 break
-            i = mask.find(needle, i)
-            j = mask.find(1, i + 1) if i >= 0 else -1
-            if j < 0:
-                break
-            if not _proximate(odd + 2 * i, odd + 2 * j, gamma):
-                failures += 1
-            i = j
+            i = hit
         prime_count += mask.count(1)
         prev = odd + 2 * last
     pair_count = max(prime_count - 1, 0) - failures

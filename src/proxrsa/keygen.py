@@ -12,9 +12,10 @@ Three variants share one pipeline:
   2^(k/2 - shift), keeping Fermat-style factoring infeasible on the outer
   modulus.
 
-`_generate` is that pipeline: it builds M, draws the residues and runs
-the one restart loop, calling a per-variant attempt and finalizing the
-exponents of whatever the attempt returns.  Every attempt is built from
+`_generate` is that pipeline: it builds M, draws the residues (refusing
+an e with a factor in every p - 1) and runs the one restart loop,
+calling a per-variant attempt and finalizing the exponents of whatever
+the attempt returns.  Every attempt is built from
 two candidate scans: numerics.next_prime_in_progression for anchors and
 outer primes (the outer candidates K*2^shift + p are the progression
 == p mod 2^shift), and `_partner_primes`, the probable primes among the
@@ -104,11 +105,23 @@ class KeyGenParams(NamedTuple):
         return self.ell if self.ell is not None else max(1, self.k.bit_length() - 1)
 
 
-def build_small_modulus(ell: int) -> int:
-    """Product of the first ell primes."""
+def build_small_modulus(ell: int, max_bits: Optional[int] = None) -> Optional[int]:
+    """Product of the first ell primes, or None when it has more than max_bits bits.
+
+    Each prime p is at least 2^(p.bit_length() - 1), so the product has more
+    bits than the sum of those exponents: a lower bound on the sum refuses
+    before the primes are listed, and the sum itself before they are multiplied.
+    """
     if ell < 1:
         raise ParameterError("ell must be >= 1")
-    return math.prod(numerics.first_primes(ell))
+    limit = math.inf if max_bits is None else max_bits
+    if _exponent_sum_floor(ell) >= limit:
+        return None
+    primes = numerics.first_primes(ell)
+    if sum(p.bit_length() - 1 for p in primes) >= limit:
+        return None
+    product = math.prod(primes)
+    return product if product.bit_length() <= limit else None
 
 
 def derive_residues(m_modulus: int, stream: SeedStream, count: int) -> list[int]:
@@ -235,29 +248,24 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
     """
     if bits < 8:  # only a multi-prime split can get this narrow
         raise ParameterError(f"k={params.k} too small for {count} primes")
-    what = "inner primes" if variant == "compatible" else "primes"
     try:
         numerics.prime_limit(ell)
     except RangeTooLargeError as exc:
         raise ParameterError(f"ell={ell} is too large: {exc}") from None
-    # Each prime p is at least 2^(p.bit_length() - 1), so M has more bits
-    # than the sum of those exponents; refuse before listing the primes when
-    # a lower bound on the sum decides, and before building M otherwise.
-    too_wide = ParameterError(
-        f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}"
-    )
-    if _exponent_sum_floor(ell) >= bits:
-        raise too_wide
-    small_primes = numerics.first_primes(ell)
-    if sum(p.bit_length() - 1 for p in small_primes) >= bits:
-        raise too_wide
-    m_modulus = build_small_modulus(ell)
-    if m_modulus.bit_length() > bits:
-        raise ParameterError(
-            f"congruence modulus ({m_modulus.bit_length()} bits) too wide for {bits}-bit {what}"
-        )
+    m_modulus = build_small_modulus(ell, bits)
+    if m_modulus is None:
+        what = "inner primes" if variant == "compatible" else "primes"
+        raise ParameterError(f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}")
     stream = SeedStream(params.seed)
     residues = derive_residues(m_modulus, stream, count)
+    # A prime dividing e, M and r - 1 divides p - 1 for every p == r (mod M), so
+    # every restart would fail; the compatible variant's outer primes escape it.
+    for r in residues if variant != "compatible" else ():
+        if (shared := math.gcd(params.e, m_modulus, r - 1)) != 1:
+            raise SearchExhaustedError(
+                f"e={params.e} is not invertible for any key: its factor"
+                f" {numerics.prime_factors(shared)[0]} divides p - 1 for every p == {r} (mod M)"
+            )
     gamma = params.resolved_gamma()
     for _ in range(params.max_restarts):
         found = attempt(stream, bits, residues, m_modulus, gamma, params)

@@ -199,6 +199,22 @@ def test_census_pairs_tests_few_pairs_where_the_threshold_grows_fast():
     assert report.pair_count == loop_pairs(lo, hi, gamma)
 
 
+def test_census_pairs_work_follows_the_thresholds_not_the_failing_pairs():
+    """Over 2..2^22 at gamma = 1/100000, 104,637 pairs fail; settling them
+    one by one took 104,638 threshold computations."""
+    lo, hi, gamma = 2, 1 << 22, Fraction(1, 100000)
+    real, counted = census._max_gap_of, []
+
+    def max_gap_of(gamma):
+        counted.append(mock.Mock(wraps=real(gamma)))
+        return counted[-1]
+
+    with mock.patch.object(census, "_max_gap_of", max_gap_of):
+        report = census.census_pairs(lo, hi, gamma)
+    assert sum(m.call_count for m in counted) < 5_000
+    assert report.pair_count == loop_pairs(lo, hi, gamma)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_census_pairs_matches_the_pair_loop(data):

@@ -27,6 +27,9 @@ def test_build_small_modulus():
     assert keygen.build_small_modulus(1) == 2
     assert keygen.build_small_modulus(4) == 210
     assert keygen.build_small_modulus(10) == 6469693230
+    # 6469693230 has 33 bits, while the exponent sum 28 stays below 32.
+    assert keygen.build_small_modulus(10, 33) == 6469693230
+    assert keygen.build_small_modulus(10, 32) is None
 
 
 def test_derive_residues_m6():
@@ -423,3 +426,39 @@ def test_the_ell_width_floor_is_a_lower_bound():
     exponents = [p.bit_length() - 1 for p in primes]
     for ell in [*range(1, 300), 1000, 4095, 4096, 20_000]:
         assert keygen._exponent_sum_floor(ell) <= sum(exponents[:ell]), ell
+
+
+class Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "variant, e, refused",
+    [("standard", 3, True), ("multi", 3, True), ("multi", 5, False), ("compat", 3, False)],
+)
+def test_an_e_dividing_every_p_minus_1_is_refused_before_the_first_draw(variant, e, refused, monkeypatch):
+    """A prime f dividing e, M and r - 1 divides p - 1 for every p == r (mod M).
+    Two residues differ mod 3, so one is 1 mod 3; at seed 0 the three
+    multi-prime residues are 2, 1, 1 mod 3 and 3, 4, 2 mod 5.  The
+    compatible variant's outer primes are not tied to the residues."""
+
+    def draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr(keygen, "_draw_anchor", draw)
+    generate, k, _ = SCANS[variant]
+    if refused:
+        expected = pytest.raises(SearchExhaustedError, match=rf"^e={e} .* its factor {e} divides p - 1")
+    else:
+        expected = pytest.raises(Drawn)
+    with expected:
+        generate(params64(k=k, e=e))
+
+
+def test_keygen_with_e_3_exits_2_at_once(wall_clock, capsys):
+    """At k = 2048, e = 3 failed all 64 restarts and exited 2 after 77.5 s."""
+    from proxrsa import cli
+
+    with wall_clock(5):
+        assert cli.main(["keygen", "--k", "2048", "--e", "3", "--seed", "00" * 32]) == cli.EXIT_EXHAUSTED
+    assert "e=3 is not invertible for any key: its factor 3 divides p - 1" in capsys.readouterr().err
