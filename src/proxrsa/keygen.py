@@ -105,23 +105,11 @@ class KeyGenParams(NamedTuple):
         return self.ell if self.ell is not None else max(1, self.k.bit_length() - 1)
 
 
-def build_small_modulus(ell: int, max_bits: Optional[int] = None) -> Optional[int]:
-    """Product of the first ell primes, or None when it has more than max_bits bits.
-
-    Each prime p is at least 2^(p.bit_length() - 1), so the product has more
-    bits than the sum of those exponents: a lower bound on the sum refuses
-    before the primes are listed, and the sum itself before they are multiplied.
-    """
+def build_small_modulus(ell: int) -> int:
+    """Product of the first ell primes."""
     if ell < 1:
         raise ParameterError("ell must be >= 1")
-    limit = math.inf if max_bits is None else max_bits
-    if _exponent_sum_floor(ell) >= limit:
-        return None
-    primes = numerics.first_primes(ell)
-    if sum(p.bit_length() - 1 for p in primes) >= limit:
-        return None
-    product = math.prod(primes)
-    return product if product.bit_length() <= limit else None
+    return math.prod(numerics.first_primes(ell))
 
 
 def derive_residues(m_modulus: int, stream: SeedStream, count: int) -> list[int]:
@@ -248,14 +236,21 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
     """
     if bits < 8:  # only a multi-prime split can get this narrow
         raise ParameterError(f"k={params.k} too small for {count} primes")
+    what = "inner primes" if variant == "compatible" else "primes"
     try:
         numerics.prime_limit(ell)
     except RangeTooLargeError as exc:
         raise ParameterError(f"ell={ell} is too large: {exc}") from None
-    m_modulus = build_small_modulus(ell, bits)
-    if m_modulus is None:
-        what = "inner primes" if variant == "compatible" else "primes"
+    # Each prime p is at least 2^(p.bit_length() - 1), so M has more bits
+    # than the sum of those exponents; refuse before listing the primes when
+    # a lower bound on the sum decides, and on M's own width otherwise.
+    if _exponent_sum_floor(ell) >= bits:
         raise ParameterError(f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}")
+    m_modulus = build_small_modulus(ell)
+    if m_modulus.bit_length() > bits:
+        raise ParameterError(
+            f"congruence modulus ({m_modulus.bit_length()} bits) too wide for {bits}-bit {what}"
+        )
     stream = SeedStream(params.seed)
     residues = derive_residues(m_modulus, stream, count)
     # A prime dividing e, M and r - 1 divides p - 1 for every p == r (mod M), so

@@ -27,9 +27,6 @@ def test_build_small_modulus():
     assert keygen.build_small_modulus(1) == 2
     assert keygen.build_small_modulus(4) == 210
     assert keygen.build_small_modulus(10) == 6469693230
-    # 6469693230 has 33 bits, while the exponent sum 28 stays below 32.
-    assert keygen.build_small_modulus(10, 33) == 6469693230
-    assert keygen.build_small_modulus(10, 32) is None
 
 
 def test_derive_residues_m6():
