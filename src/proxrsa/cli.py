@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import io
 import itertools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -365,7 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ProxRsaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

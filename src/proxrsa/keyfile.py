@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import ParameterError
+from .errors import ParameterError, ProxRsaError
 
 
 def _unhex(s: str) -> int:
@@ -89,7 +89,15 @@ def document_to_bytes(doc: dict) -> bytes:
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Atomic write: a new file of mode 0o600 in the target directory, then
-    a rename over path; the new file is removed if either step fails."""
+    a rename over path; the new file is removed if either step fails.
+    A path that exists but is not a regular file, or a link to one (a FIFO,
+    a device), is written in place, since a rename would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        # no O_CREAT: a path gone since the check raises, not a 0o666 file;
+        # a directory raises here too
+        with os.fdopen(os.open(path, os.O_WRONLY), "wb") as fh:
+            fh.write(data)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
@@ -175,11 +183,16 @@ def load_key_document(doc: dict) -> KeyPair:
             entropy_report=report,
             seed=seed,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed key document: {exc}") from exc
 
 
 def read_key_file(path: str) -> KeyPair:
+    """The key in the JSON file at path.  ProxRsaError (exit 1) when it is
+    not UTF-8 JSON or an integer passes Python's int-string digit limit."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ProxRsaError(f"{path}: {exc}") from None
     return load_key_document(doc)

@@ -48,12 +48,15 @@ from .entropy import (
     proximity_holds_exact,
     purity_lower,
 )
-from .errors import InfeasibleError, ParameterError, RangeTooLargeError, SearchExhaustedError
+from .errors import InfeasibleError, ParameterError, SearchExhaustedError
 from .keyfile import KeyPair
 from .numerics import SeedStream
 
 DEFAULT_SHIFT = 100
 MIN_SHIFT = 20
+# The largest k the generator accepts: every prime is then at most 4096
+# bits wide, so M's width check lists fewer than 4096 small primes.
+MAX_K = 8192
 
 
 def default_gamma(k: int, epsilon: float) -> Fraction:
@@ -81,8 +84,8 @@ class KeyGenParams(NamedTuple):
     max_restarts: int = 64
 
     def validate(self) -> None:
-        if self.k < 16 or self.k % 2 != 0:
-            raise ParameterError(f"k must be an even integer >= 16: {self.k}")
+        if not 16 <= self.k <= MAX_K or self.k % 2 != 0:
+            raise ParameterError(f"k must be an even integer in [16, {MAX_K}]: {self.k}")
         if len(self.seed) != 32:
             raise ParameterError("seed must be exactly 32 bytes")
         if self.gamma is not None and not 0 < self.gamma < 1:
@@ -212,20 +215,6 @@ def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int]]:
     return n, d
 
 
-def _exponent_sum_floor(ell: int) -> int:
-    """A lower bound on sum(p.bit_length() - 1) over the first ell primes.
-
-    By Rosser, p_n > n ln n; for n in [2^j, 2^(j+1)) that is above
-    2^j * j ln 2, whose floor(log2) is at least
-    j + floor(log2(floor(0.693147 j))).
-    """
-    total = 0
-    for j in range(2, ell.bit_length()):
-        count = min(ell + 1, 2 << j) - (1 << j)
-        total += count * (j + (j * 693147 // 10**6).bit_length() - 1)
-    return total
-
-
 def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
     """The pipeline the three variants share.
 
@@ -237,14 +226,9 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
     if bits < 8:  # only a multi-prime split can get this narrow
         raise ParameterError(f"k={params.k} too small for {count} primes")
     what = "inner primes" if variant == "compatible" else "primes"
-    try:
-        numerics.prime_limit(ell)
-    except RangeTooLargeError as exc:
-        raise ParameterError(f"ell={ell} is too large: {exc}") from None
-    # Each prime p is at least 2^(p.bit_length() - 1), so M has more bits
-    # than the sum of those exponents; refuse before listing the primes when
-    # a lower bound on the sum decides, and on M's own width otherwise.
-    if _exponent_sum_floor(ell) >= bits:
+    # M is at least 2^ell, so ell >= bits is refused before any prime is
+    # listed; below that, M's own width decides.
+    if ell >= bits:
         raise ParameterError(f"congruence modulus (first {ell} primes) too wide for {bits}-bit {what}")
     m_modulus = build_small_modulus(ell)
     if m_modulus.bit_length() > bits:

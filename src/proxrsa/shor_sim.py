@@ -69,6 +69,7 @@ from .errors import ParameterError
 from .numerics import SeedStream, euler_phi, prime_factors
 
 MAX_TOY_MODULUS = 1 << 20
+_MAX_TOY_BITS = MAX_TOY_MODULUS.bit_length() - 1
 MAX_Q = 1 << 512
 
 
@@ -117,7 +118,7 @@ def multiplicative_order(a: int, n: int) -> int:
     in Computational Algebraic Number Theory, Alg. 1.4.3).
     """
     if n < 2 or n > MAX_TOY_MODULUS:
-        raise ParameterError(f"modulus must lie in [2, 2^20]: {n}")
+        raise ParameterError(f"modulus must lie in [2, 2^{_MAX_TOY_BITS}]: {n}")
     if not 1 <= a < n:
         raise ParameterError(f"base must satisfy 1 <= a < n: {a}")
     if math.gcd(a, n) != 1:
@@ -374,7 +375,7 @@ def draw_bases(stream: SeedStream, n: int, count: int) -> list[int]:
     searching for them forever.
     """
     if not 3 <= n <= MAX_TOY_MODULUS:
-        raise ParameterError(f"modulus must lie in [3, 2^20]: {n}")
+        raise ParameterError(f"modulus must lie in [3, 2^{_MAX_TOY_BITS}]: {n}")
     usable = euler_phi(n) - 2  # 1 and n-1 are units outside [2, n-2]
     if not 1 <= count <= usable:
         raise ParameterError(
@@ -431,8 +432,8 @@ def compare_moduli(
     quartile for the size.  The report is data only: no direction is
     asserted.
     """
-    if not 8 <= bit_size <= 20:
-        raise ParameterError(f"bit_size must lie in [8, 20]: {bit_size}")
+    if not 8 <= bit_size <= _MAX_TOY_BITS:
+        raise ParameterError(f"bit_size must lie in [8, {_MAX_TOY_BITS}]: {bit_size}")
     if n_pairs < 1:
         raise ParameterError("n_pairs must be >= 1")
     if not 0 < gamma_close < 2:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -399,6 +400,25 @@ def test_failed_write_leaves_no_part_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
 
 
+def test_out_to_a_fifo_writes_into_it(tmp_path, capsys, wall_clock):
+    """A rename over the FIFO left a regular file in its place, and its
+    reader got no bytes."""
+    argv = ["census", "--lo", "2", "--hi", "20", "--gamma", "1/2"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with wall_clock(5):
+            assert run(capsys, *argv, "-o", str(fifo))[0] == cli.EXIT_OK
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert os.read(reader, 1 << 16) == expected.encode()
+    finally:
+        os.close(reader)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
 def test_census_loads_neither_numpy_nor_mpmath(cli_probe):
     _, report = cli_probe(
         [
@@ -705,10 +725,11 @@ def test_keygen_multi_infeasible_residues_is_parameter_error(tmp_path, capsys):
     [
         (["keygen", "--k", "64", "--ell", "20000"], "(first 20000 primes) too wide for 32-bit primes"),
         (["keygen-multi", "--k", "64", "--m", "1000000", "--ell", "30"], "k=64 too small for 1000000 primes"),
-        (["keygen", "--k", "400000", "--ell", "199999"], "(first 199999 primes) too wide for 200000-bit primes"),
-        (["keygen", "--k", "200000002", "--ell", "100000000"], "ell=100000000 is too large"),
+        (["keygen", "--k", "8192", "--ell", "4096"], "(first 4096 primes) too wide for 4096-bit primes"),
+        (["keygen", "--k", "8192", "--ell", "100000000"], "(first 100000000 primes) too wide for 4096-bit primes"),
+        (["keygen", "--k", "8194"], "k must be an even integer in [16, 8192]: 8194"),
     ],
-    ids=["keygen", "keygen-multi", "keygen-wide-m", "keygen-huge-ell"],
+    ids=["keygen", "keygen-multi", "keygen-wide-m", "keygen-huge-ell", "keygen-huge-k"],
 )
 def test_infeasible_widths_exit_3_before_any_draw(argv, message, capsys, wall_clock):
     """Each took seconds to minutes, or asked for gigabytes, when M was
@@ -806,6 +827,30 @@ def test_malformed_key_document_ends_with_its_exit_code(command, fields, code, t
     result = cli_process([command, str(key)], timeout=60)
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize(
+    "old, new, code",
+    [
+        (b'"beta": 0.9,', b'"beta": 1' + b"0" * 400 + b",", cli.EXIT_BAD_PARAMS),
+        (b'"k": 64,', b'"k": 1' + b"0" * 4300 + b",", cli.EXIT_IO),
+        (b'"k": 64,', b'"k": 64, "note": "\xff",', cli.EXIT_IO),
+    ],
+    ids=["beta-above-float-range", "k-past-int-digit-limit", "not-utf8"],
+)
+def test_unreadable_key_numbers_end_with_one_error_line(command, old, new, code, tmp_path, cli_process):
+    """float() overflowed on beta, and json.load raised a plain ValueError
+    on the long k and the stray byte: each ended in a traceback."""
+    text = (DATA / "keys" / "keygen-k64-seed00.json").read_bytes()
+    assert old in text
+    key = tmp_path / "key.json"
+    key.write_bytes(text.replace(old, new))
+    result = cli_process([command, str(key)], timeout=60)
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 # entropy_report edits on a valid key document: the schema's six fields, exactly

@@ -159,6 +159,9 @@ def test_params_validation():
         keygen.generate_keypair(params64(k=63))
     with pytest.raises(ParameterError):
         keygen.generate_keypair(params64(k=14))
+    with pytest.raises(ParameterError, match=r"even integer in \[16, 8192\]: 8194"):
+        keygen.generate_keypair(params64(k=8194))
+    KeyGenParams(k=8192, seed=ZERO_SEED).validate()
     with pytest.raises(ParameterError):
         keygen.generate_keypair(params64(gamma=Fraction(3, 2)))
     with pytest.raises(ParameterError):
@@ -403,8 +406,8 @@ def test_validator_rejects_random_single_field_tampering():
 
 
 def test_an_ell_too_wide_is_refused_before_listing_primes(monkeypatch, wall_clock):
-    """Listing the first 2,000,000 primes took 1.35 s and 129 MB before the
-    width check; a lower bound on the width from ell alone refuses first."""
+    """M is at least 2^ell, so an ell of at least the prime width is refused
+    from ell alone; listing 10^8 primes would pass the 2^28 sieve span."""
     from proxrsa import cli
 
     def listed(count):
@@ -412,17 +415,11 @@ def test_an_ell_too_wide_is_refused_before_listing_primes(monkeypatch, wall_cloc
 
     monkeypatch.setattr(numerics, "first_primes", listed)
     with wall_clock(1):
-        with pytest.raises(ParameterError, match=r"\(first 2000000 primes\) too wide for 4000000-bit primes"):
-            keygen.generate_keypair(KeyGenParams(k=8_000_000, seed=ZERO_SEED, ell=2_000_000))
-        argv = ["keygen", "--k", "8000000", "--ell", "2000000", "--insecure-small", "--seed", "00" * 32]
-        assert cli.main(argv) == cli.EXIT_BAD_PARAMS
-
-
-def test_the_ell_width_floor_is_a_lower_bound():
-    primes = numerics.first_primes(20_000)
-    exponents = [p.bit_length() - 1 for p in primes]
-    for ell in [*range(1, 300), 1000, 4095, 4096, 20_000]:
-        assert keygen._exponent_sum_floor(ell) <= sum(exponents[:ell]), ell
+        for ell in (4096, 10**8):
+            with pytest.raises(ParameterError, match=rf"\(first {ell} primes\) too wide for 4096-bit primes"):
+                keygen.generate_keypair(KeyGenParams(k=8192, seed=ZERO_SEED, ell=ell))
+            argv = ["keygen", "--k", "8192", "--ell", str(ell), "--seed", "00" * 32]
+            assert cli.main(argv) == cli.EXIT_BAD_PARAMS
 
 
 class Drawn(Exception):
