@@ -233,7 +233,7 @@ def _cmd_analyze(args) -> int:
     from . import analysis
 
     key = keyfile.read_key_file(args.keyfile)
-    if len(key.primes) < 2 or (key.inner_primes is not None and len(key.inner_primes) < 2):
+    if len(key.primes) < 2:
         raise ParameterError(f"{args.keyfile}: analyze needs a key of at least two primes")
     if key.inner_primes:
         # layered keys: the quantum structure rides on the close inner

@@ -2,25 +2,44 @@
 byte-stable output.
 
 A generator returns a KeyPair and read_key_file returns one; the file
-holds exactly its fields.  Every big integer is a lowercase hex string
-with an "0x" prefix; gamma is an exact "num/den" string; keys are sorted
-so identical key material always produces identical bytes.
+holds exactly its fields, listed once in _FIELDS.  Every big integer is
+a lowercase hex string with an "0x" prefix; gamma is an exact "num/den"
+string; keys are sorted so identical key material always produces
+identical bytes.  The loader refuses a document outside the shape of
+docs/key-schema.json (ParameterError, exit 3); value rules, such as the
+variant or the range of k, are validate.validate_key's.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ParameterError, ProxRsaError
 
+# keygen's largest k; a wider integer is refused before any primality test.
+MAX_INT_BITS = 8192
 
-def _unhex(s: str) -> int:
-    if not isinstance(s, str) or not s.startswith("0x"):
-        raise ParameterError(f"expected 0x-prefixed hex string, got {s!r}")
-    return int(s, 16)
+_HEX = re.compile(r"0x[0-9a-f]+")
+_SEED = re.compile(r"0x[0-9a-f]{64}")
+_RATIONAL = re.compile(r"[0-9]+/[0-9]+")
+_DECIMAL = re.compile(r"-?[0-9.][0-9.e+-]*")
+
+
+def _matched(pattern: re.Pattern, text: str) -> str:
+    if not pattern.fullmatch(text):
+        raise ParameterError(f"{text[:40]!r} does not match {pattern.pattern}")
+    return text
+
+
+def _unhex(text: str) -> int:
+    value = int(_matched(_HEX, text), 16)
+    if value.bit_length() > MAX_INT_BITS:
+        raise ParameterError(f"{value.bit_length()}-bit integer is wider than {MAX_INT_BITS} bits")
+    return value
 
 
 class KeyPair(NamedTuple):
@@ -65,24 +84,6 @@ def gamma_from_str(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def keypair_to_document(kp: KeyPair) -> dict:
-    return {
-        "variant": kp.variant,
-        "k": kp.k,
-        "gamma": gamma_to_str(kp.gamma),
-        "beta": kp.beta,
-        "e": hex(kp.e),
-        "d": hex(kp.d),
-        "N": hex(kp.n),
-        "primes": [hex(p) for p in kp.primes],
-        "M": hex(kp.m_modulus),
-        "residues": [hex(r) for r in kp.residues],
-        "inner_primes": [hex(p) for p in kp.inner_primes] if kp.inner_primes else None,
-        "entropy_report": kp.entropy_report,
-        "seed": "0x" + kp.seed.hex(),
-    }
-
-
 def document_to_bytes(doc: dict) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
@@ -111,80 +112,86 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-# JSON type of each field, as docs/key-schema.json gives it.
-_FIELD_TYPES = {
-    "variant": str,
-    "k": int,
-    "gamma": str,
-    "beta": (int, float),
-    "e": str,
-    "d": str,
-    "N": str,
-    "primes": list,
-    "M": str,
-    "residues": list,
-    "inner_primes": (list, type(None)),
-    "entropy_report": dict,
-    "seed": str,
+# The entropy report's fields: five decimals, each a string or null where
+# no value applies, and the verdict.
+_REPORT_DECIMALS = ("delta", "purity_lower", "h2_estimate_bits", "h2_bound_bits", "budget_bits")
+
+
+def _report(report: dict) -> dict:
+    decimals = [report.get(name) for name in _REPORT_DECIMALS]
+    if (
+        report.keys() != {*_REPORT_DECIMALS, "constraint_ok"}
+        or not isinstance(report["constraint_ok"], bool)
+        or not all(v is None or isinstance(v, str) and _DECIMAL.fullmatch(v) for v in decimals)
+    ):
+        raise ParameterError(
+            f"must hold {list(_REPORT_DECIMALS)}, each a decimal string or null, and the"
+            " boolean constraint_ok, as in docs/key-schema.json"
+        )
+    return report
+
+
+def _hexes(values: list[int]) -> list[str]:
+    return [hex(v) for v in values]
+
+
+def _unhexes(texts: list) -> list[int]:
+    return [_unhex(text) for text in texts]
+
+
+def _inner(texts: Optional[list]) -> Optional[list[int]]:
+    if texts is not None and len(texts) != 2:
+        raise ParameterError(f"must be null or hold two primes, not {len(texts)}")
+    return texts and _unhexes(texts)
+
+
+def _seed(text: str) -> bytes:
+    return bytes.fromhex(_matched(_SEED, text)[2:])
+
+
+# Each document field: its KeyPair field, its JSON types as the schema
+# gives them, its encoder and its decoder (a plain value's own type).
+_FIELDS = {
+    "variant": ("variant", str, str, str),
+    "k": ("k", int, int, int),
+    "gamma": ("gamma", str, gamma_to_str, lambda text: gamma_from_str(_matched(_RATIONAL, text))),
+    "beta": ("beta", (int, float), float, float),
+    "e": ("e", str, hex, _unhex),
+    "d": ("d", str, hex, _unhex),
+    "N": ("n", str, hex, _unhex),
+    "primes": ("primes", list, _hexes, _unhexes),
+    "M": ("m_modulus", str, hex, _unhex),
+    "residues": ("residues", list, _hexes, _unhexes),
+    "inner_primes": ("inner_primes", (list, type(None)), lambda ps: _hexes(ps) if ps else None, _inner),
+    "entropy_report": ("entropy_report", dict, dict, _report),
+    "seed": ("seed", str, lambda seed: "0x" + seed.hex(), _seed),
 }
 
 
-# JSON type of each entropy report field: five decimals, a string or null
-# where no value applies, and the verdict.
-_REPORT_TYPES = {
-    "delta": (str, type(None)),
-    "purity_lower": (str, type(None)),
-    "h2_estimate_bits": (str, type(None)),
-    "h2_bound_bits": (str, type(None)),
-    "budget_bits": (str, type(None)),
-    "constraint_ok": bool,
-}
+def keypair_to_document(kp: KeyPair) -> dict:
+    return {name: encode(getattr(kp, field)) for name, (field, _, encode, _) in _FIELDS.items()}
 
 
 def load_key_document(doc: dict) -> KeyPair:
+    """The key a document holds.  ParameterError (exit 3) unless it has
+    exactly the fields of _FIELDS, each of the schema's shape."""
     if not isinstance(doc, dict):
         raise ParameterError(f"malformed key document: {type(doc).__name__}, not an object")
-    for name, types in _FIELD_TYPES.items():
-        value = doc.get(name)
-        if name in doc and (isinstance(value, bool) or not isinstance(value, types)):
-            raise ParameterError(
-                f"malformed key document: {name} has the wrong type ({type(value).__name__})"
-            )
-    report = doc.get("entropy_report")
-    if (
-        report is None
-        or report.keys() != _REPORT_TYPES.keys()
-        or not all(isinstance(report[name], types) for name, types in _REPORT_TYPES.items())
-    ):
+    if doc.keys() != _FIELDS.keys():
         raise ParameterError(
-            f"malformed key document: entropy_report must hold exactly {list(_REPORT_TYPES)}"
-            " as in docs/key-schema.json"
+            f"malformed key document: missing {sorted(_FIELDS.keys() - doc.keys())},"
+            f" unknown {sorted(doc.keys() - _FIELDS.keys())}; the schema has {len(_FIELDS)} fields"
         )
-    try:
-        seed_hex = doc["seed"]
-        if not seed_hex.startswith("0x"):
-            raise ParameterError("seed must be 0x-prefixed hex")
-        seed = bytes.fromhex(seed_hex[2:])
-        if len(seed) != 32:
-            raise ParameterError(f"seed must be 32 bytes, got {len(seed)}")
-        inner = doc.get("inner_primes")
-        return KeyPair(
-            variant=doc["variant"],
-            k=doc["k"],
-            gamma=gamma_from_str(doc["gamma"]),
-            beta=float(doc["beta"]),
-            e=_unhex(doc["e"]),
-            d=_unhex(doc["d"]),
-            n=_unhex(doc["N"]),
-            primes=[_unhex(p) for p in doc["primes"]],
-            m_modulus=_unhex(doc["M"]),
-            residues=[_unhex(r) for r in doc["residues"]],
-            inner_primes=[_unhex(p) for p in inner] if inner else None,
-            entropy_report=report,
-            seed=seed,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"malformed key document: {exc}") from exc
+    fields = {}
+    for name, (field, types, _, decode) in _FIELDS.items():
+        value = doc[name]
+        try:
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ParameterError(f"has the wrong type ({type(value).__name__})")
+            fields[field] = decode(value)
+        except (ParameterError, TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"malformed key document: {name}: {exc}") from exc
+    return KeyPair(**fields)
 
 
 def read_key_file(path: str) -> KeyPair:

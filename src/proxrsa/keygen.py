@@ -35,10 +35,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import numerics
+from . import numerics, reals
 from .entropy import (
     EntropyReport,
     check_entropy_constraint,
@@ -49,7 +50,7 @@ from .entropy import (
     purity_lower,
 )
 from .errors import InfeasibleError, ParameterError, SearchExhaustedError
-from .keyfile import KeyPair
+from .keyfile import MAX_INT_BITS, KeyPair
 from .numerics import SeedStream
 
 DEFAULT_SHIFT = 100
@@ -60,10 +61,14 @@ MAX_K = 8192
 
 
 def default_gamma(k: int, epsilon: float) -> Fraction:
-    """Rational approximation of k^(-1/2 + epsilon)."""
+    """Rational approximation of k^(-1/2 + epsilon): the double nearest
+    k^x for the double x = -1/2 + epsilon, from decimal rather than libm,
+    whose pow need not round correctly."""
     if not 0 < epsilon < 0.5:
         raise ParameterError("epsilon must lie in (0, 1/2)")
-    return Fraction(float(k) ** (-0.5 + epsilon)).limit_denominator(1 << 32)
+    x = Decimal(-0.5 + epsilon)
+    man, exp = reals._decided(lambda ctx: (ctx.exp(ctx.multiply(x, ctx.ln(k))), 0), 53)
+    return Fraction(math.ldexp(man, exp)).limit_denominator(1 << 32)
 
 
 class KeyGenParams(NamedTuple):
@@ -98,6 +103,8 @@ class KeyGenParams(NamedTuple):
             raise ParameterError("ell must be >= 1")
         if self.e < 3 or self.e % 2 == 0:
             raise ParameterError(f"public exponent must be odd and >= 3: {self.e}")
+        if self.e.bit_length() > MAX_INT_BITS:
+            raise ParameterError(f"public exponent is wider than {MAX_INT_BITS} bits")
         if self.max_candidates < 1 or self.max_restarts < 1:
             raise ParameterError("search limits must be positive")
 
@@ -171,25 +178,6 @@ def _partner_primes(p: int, residue: int, modulus: int, max_gap: int, max_candid
             yield q
 
 
-def _search_close_partner(
-    p: int,
-    residue: int,
-    m_modulus: int,
-    gamma: Fraction,
-    beta: float,
-    max_candidates: int,
-) -> Optional[tuple[int, EntropyReport]]:
-    """Nearest prime q == residue (mod M) inside (p - gamma*p, p + gamma*p)
-    that passes the exact proximity and entropy constraints, or None."""
-    # Smallest gap outside the open window |q - p| < gamma * p.
-    max_gap = (gamma.numerator * p - 1) // gamma.denominator + 1
-    for q in _partner_primes(p, residue, m_modulus, max_gap, max_candidates):
-        ok, report = check_entropy_constraint(p, q, gamma, beta)
-        if ok:
-            return q, report
-    return None
-
-
 def _dominant_pair_report(primes: list[int], gamma: Fraction, m: int) -> EntropyReport:
     """Multi-prime report: worst (largest-delta) pair drives the estimate."""
     worst = max(proximity_delta(p, q) for p, q in itertools.combinations(primes, 2))
@@ -204,10 +192,11 @@ def _dominant_pair_report(primes: list[int], gamma: Fraction, m: int) -> Entropy
 
 
 def _finalize_exponents(e: int, primes: list[int]) -> Optional[tuple[int, int]]:
-    """(n, d) when e is usable and d clears the d^10 > n^3 floor."""
+    """(n, d) when e is usable, d clears the d^10 > n^3 floor and n fits a
+    key file (a layered key's outer primes may reach past k//2 bits)."""
     n = math.prod(primes)
     phi = math.prod(p - 1 for p in primes)
-    if math.gcd(e, phi) != 1:
+    if math.gcd(e, phi) != 1 or n.bit_length() > MAX_INT_BITS:
         return None
     d = pow(e, -1, phi)
     if d**10 <= n**3:
@@ -300,16 +289,19 @@ def generate_keypair(params: KeyGenParams) -> KeyPair:
 
 
 def _attempt_pair(stream, bits, residues, m_modulus, gamma, params):
+    """A drawn anchor p and the nearest prime q == residues[1] (mod M)
+    inside (p - gamma*p, p + gamma*p) that passes the exact proximity and
+    entropy constraints, or None."""
     p = _draw_anchor(stream, bits, residues[0], m_modulus, params)
     if p is None:
         return None
-    found = _search_close_partner(
-        p, residues[1], m_modulus, gamma, params.beta, params.max_candidates
-    )
-    if found is None:
-        return None
-    q, report = found
-    return [p, q], report, None
+    # Smallest gap outside the open window |q - p| < gamma * p.
+    max_gap = (gamma.numerator * p - 1) // gamma.denominator + 1
+    for q in _partner_primes(p, residues[1], m_modulus, max_gap, params.max_candidates):
+        ok, report = check_entropy_constraint(p, q, gamma, params.beta)
+        if ok:
+            return [p, q], report, None
+    return None
 
 
 def generate_multiprime(params: KeyGenParams, m: int) -> KeyPair:
@@ -321,15 +313,8 @@ def generate_multiprime(params: KeyGenParams, m: int) -> KeyPair:
     params.validate()
     if m < 3:
         raise ParameterError(f"multi-prime count must be >= 3: {m}")
-
-    def attempt(stream, bits, residues, m_modulus, gamma, params):
-        primes = _attempt_cluster(stream, bits, residues, m_modulus, gamma, params)
-        if primes is None:
-            return None
-        return primes, _dominant_pair_report(primes, gamma, m), None
-
     return _generate(
-        params, "multiprime", params.resolved_ell(), m, params.k // m, attempt,
+        params, "multiprime", params.resolved_ell(), m, params.k // m, _attempt_cluster,
         f"no compliant {m}-prime cluster within {params.max_restarts} restarts",
     )
 
@@ -349,7 +334,7 @@ def _attempt_cluster(stream, prime_bits, residues, m_modulus, gamma, params):
         if chosen is None:
             return None
         primes.append(chosen)
-    return primes
+    return primes, _dominant_pair_report(primes, gamma, len(primes)), None
 
 
 def generate_compatible(params: KeyGenParams, shift: int = DEFAULT_SHIFT) -> KeyPair:
@@ -373,34 +358,31 @@ def generate_compatible(params: KeyGenParams, shift: int = DEFAULT_SHIFT) -> Key
     # 2*inner_bits, so the default congruence modulus scales with that,
     # not with the outer k; an explicit ell is honored as given.
     inner_ell = params.ell if params.ell is not None else max(1, (2 * inner_bits).bit_length() - 1)
-
-    def attempt(stream, bits, residues, m_modulus, gamma, params):
-        found = _attempt_pair(stream, bits, residues, m_modulus, gamma, params)
-        if found is None:
-            return None
-        (p, q), report, _ = found
-        # Inner widths must be exact so the shift stays recoverable from
-        # the key file (validators re-derive it from the inner bit length).
-        if p.bit_length() != inner_bits or q.bit_length() != inner_bits:
-            return None
-        outer = _attempt_outer(stream, params, shift, p, q)
-        return None if outer is None else (outer, report, [p, q])
-
     return _generate(
-        params, "compatible", inner_ell, 2, inner_bits, attempt,
+        params, "compatible", inner_ell, 2, inner_bits, _attempt_layered,
         f"no compatible-layer key within {params.max_restarts} restarts"
         f" (k={params.k}, shift={shift})",
     )
 
 
-def _attempt_outer(stream, params, shift, p, q):
-    """Outer primes K*2^shift + p and (K + j)*2^shift + q, each the first
-    prime of its progression mod 2^shift, or None."""
-    outer_k_bits = params.k // 2 - shift  # width of K so that p' spans k//2 bits
-    k_base = numerics.stream_bits(stream, outer_k_bits)
-    k_base |= 1 << (outer_k_bits - 1)
+def _attempt_layered(stream, inner_bits, residues, m_modulus, gamma, params):
+    """An inner pair as _attempt_pair draws it, then the outer primes
+    K*2^shift + p and (K + j)*2^shift + q, each the first prime of its
+    progression mod 2^shift, or None."""
+    found = _attempt_pair(stream, inner_bits, residues, m_modulus, gamma, params)
+    if found is None:
+        return None
+    (p, q), report, _ = found
+    # Inner widths must be exact so the shift stays recoverable from
+    # the key file (validators re-derive it from the inner bit length).
+    if p.bit_length() != inner_bits or q.bit_length() != inner_bits:
+        return None
+    shift = params.k // 2 - inner_bits
+    # K is inner_bits wide, so that p' spans k//2 bits, and the outer gap
+    # must reach 2^(k//2 - shift) = 2^inner_bits.
+    k_base = numerics.stream_bits(stream, inner_bits) | 1 << (inner_bits - 1)
     scale = 1 << shift
-    target_gap = 1 << (params.k // 2 - shift)
+    target_gap = 1 << inner_bits
     j_floor = -(-(abs(p - q) + 2 * target_gap) // scale)
     try:
         p_outer = numerics.next_prime_in_progression(
@@ -413,4 +395,4 @@ def _attempt_outer(stream, params, shift, p, q):
         return None
     if abs(q_outer - p_outer) < target_gap:  # unreachable by construction; guard anyway
         return None
-    return [p_outer, q_outer]
+    return [p_outer, q_outer], report, [p, q]

@@ -31,6 +31,10 @@ _VALIDATOR_BASES = [
 
 _ROUNDTRIP_MESSAGES = [2, 3, 5, 42, 1234567]
 
+# The largest k a key may state: keygen's ceiling, declared apart because
+# the validator imports no generator code.
+_MAX_K = 8192
+
 
 def _probably_prime(n: int) -> bool:
     """Miller-Rabin over 64 fixed prime bases (independent of the generator's test)."""
@@ -221,6 +225,8 @@ def validate_key(key: KeyPair) -> list[str]:
         failures.append(f"beta outside (0, 1): {beta}")
     if k < 16:
         failures.append(f"key size k = {k} is below 16")
+    elif k > _MAX_K or k % 2:
+        failures.append(f"key size k = {k} is not an even integer in [16, {_MAX_K}]")
     if not 0 < gamma < 1:
         failures.append(f"gamma outside (0, 1): {gamma}")
     else:

@@ -728,8 +728,9 @@ def test_keygen_multi_infeasible_residues_is_parameter_error(tmp_path, capsys):
         (["keygen", "--k", "8192", "--ell", "4096"], "(first 4096 primes) too wide for 4096-bit primes"),
         (["keygen", "--k", "8192", "--ell", "100000000"], "(first 100000000 primes) too wide for 4096-bit primes"),
         (["keygen", "--k", "8194"], "k must be an even integer in [16, 8192]: 8194"),
+        (["keygen", "--k", "64", "--e", str(2**8192 + 1)], "public exponent is wider than 8192 bits"),
     ],
-    ids=["keygen", "keygen-multi", "keygen-wide-m", "keygen-huge-ell", "keygen-huge-k"],
+    ids=["keygen", "keygen-multi", "keygen-wide-m", "keygen-huge-ell", "keygen-huge-k", "keygen-wide-e"],
 )
 def test_infeasible_widths_exit_3_before_any_draw(argv, message, capsys, wall_clock):
     """Each took seconds to minutes, or asked for gigabytes, when M was
@@ -811,6 +812,21 @@ MALFORMED = [
     ("analyze", {"primes": ["0x5"]}, cli.EXIT_BAD_PARAMS),
     ("analyze", {"primes": ["0x5", "0x0", "0x7"]}, cli.EXIT_OK),  # closest pair skips the 0
     ("verify", {"primes": ["0x1", "0x5"], "e": "0x1"}, cli.EXIT_VERIFY_FAILED),
+    ("verify", {"k": 10**6}, cli.EXIT_VERIFY_FAILED),
+    ("verify", {"k": 511}, cli.EXIT_VERIFY_FAILED),
+    ("verify", {"variant": "layered"}, cli.EXIT_VERIFY_FAILED),
+    ("verify", {"note": "x"}, cli.EXIT_BAD_PARAMS),
+    ("analyze", {"note": "x"}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"seed": "0x" + "AB" * 32}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"seed": "0x" + "ab " * 31 + "ab"}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"e": "0x1F"}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"e": "0x_1_0_0_0_1"}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"M": "1819faf2e"}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"gamma": " 1/4"}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"inner_primes": []}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"inner_primes": ["0x5"]}, cli.EXIT_BAD_PARAMS),
+    ("analyze", {"inner_primes": ["0x5"]}, cli.EXIT_BAD_PARAMS),
+    ("verify", {"inner_primes": ["0x5", "0x7", "0xb"]}, cli.EXIT_BAD_PARAMS),
 ]
 
 
@@ -827,6 +843,45 @@ def test_malformed_key_document_ends_with_its_exit_code(command, fields, code, t
     result = cli_process([command, str(key)], timeout=60)
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("field", ["inner_primes", "seed", "k"])
+def test_a_key_document_without_a_field_exits_3(command, field, tmp_path, capsys, wall_clock):
+    doc = json.loads((DATA / "keys" / "keygen-k512-seed00.json").read_text())
+    del doc[field]
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps(doc))
+    with wall_clock(5):
+        code, _, err = run(capsys, command, str(key))
+    assert code == cli.EXIT_BAD_PARAMS
+    assert err.startswith(f"error: malformed key document: missing ['{field}'], unknown []")
+
+
+def _mersenne_document(a, b):
+    """A well-formed two-prime document around the Mersenne primes 2^a - 1
+    and 2^b - 1.  Without the width ceiling, verify took 41 s on the
+    8,676-bit N of a, b = 4253, 4423 on a 2-vCPU VM (Python 3.11)."""
+    p, q, e = 2**a - 1, 2**b - 1, 65537
+    doc = json.loads((DATA / "keys" / "keygen-k512-seed00.json").read_text())
+    doc.update(
+        k=8192, e=hex(e), d=hex(pow(e, -1, (p - 1) * (q - 1))), N=hex(p * q), primes=[hex(p), hex(q)]
+    )
+    return doc
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("a, b", [(4253, 4423), (9689, 9941)])
+def test_an_integer_wider_than_8192_bits_exits_3_before_any_primality_test(
+    command, a, b, tmp_path, capsys, wall_clock
+):
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps(_mersenne_document(a, b)))
+    with wall_clock(5):
+        code, _, err = run(capsys, command, str(key))
+    assert code == cli.EXIT_BAD_PARAMS
+    assert err.startswith("error: malformed key document: ") and err.count("\n") == 1
+    assert "integer is wider than 8192 bits" in err
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
@@ -861,6 +916,7 @@ REPORT_EDITS = {
     "extra-field": lambda report: {**report, "note": "0.5"},
     "numeric-delta": lambda report: {**report, "delta": 0.5},
     "string-verdict": lambda report: {**report, "constraint_ok": "true"},
+    "non-decimal-delta": lambda report: {**report, "delta": "0x1p-3"},
 }
 
 
@@ -901,6 +957,8 @@ def test_verify_rejects_a_prime_congruence_modulus(tmp_path, capsys, cli_process
         ({"beta": 0}, "beta outside (0, 1): 0.0"),
         ({"k": -5}, "key size k = -5 is below 16"),
         ({"k": 15}, "key size k = 15 is below 16"),
+        ({"k": 10**6}, "key size k = 1000000 is not an even integer in [16, 8192]"),
+        ({"k": 63}, "key size k = 63 is not an even integer in [16, 8192]"),
     ],
 )
 def test_verify_rejects_beta_and_k_outside_the_schema(fields, failure, tmp_path, capsys):

@@ -11,14 +11,23 @@ are neither "1.0" nor "0.0".
 
 tests/data/reports/ holds `proxrsa analyze NAME -o ...` of each key, run
 from tests/data/keys/ (plus two with `--kappa 0.5 --eps-param 0.01`).
+
+The golden documents also seed the loader's schema test: each mutated
+copy is refused as malformed or fails the validator, unless the JSON
+schema accepts both the copy and the document of the key read from it.
 """
 
+import copy
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proxrsa import cli, keyfile
+from proxrsa import cli, keyfile, validate
+from proxrsa.errors import ParameterError
 from proxrsa.keygen import (
     KeyGenParams,
     generate_compatible,
@@ -81,3 +90,74 @@ def test_analyze_report_bytes(name, tmp_path, monkeypatch, wall_clock):
     with wall_clock(30):
         assert cli.main(["analyze", key, *extra, "-o", str(out)]) == cli.EXIT_OK
     assert out.read_bytes() == (REPORTS / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", [c[0] for c in GOLDEN], ids=[c[0][:-5] for c in GOLDEN])
+def test_golden_file_round_trips_byte_for_byte(name):
+    kp = keyfile.read_key_file(KEYS / name)
+    assert keyfile.document_to_bytes(keyfile.keypair_to_document(kp)) == (KEYS / name).read_bytes()
+
+
+GOLDEN_DOCS = {c[0]: json.loads((KEYS / c[0]).read_text()) for c in GOLDEN}
+HEX_FIELDS = ["e", "d", "N", "M", "seed", "primes", "residues", "inner_primes"]
+LIST_FIELDS = ["primes", "residues", "inner_primes"]
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    st.lists(st.integers(0, 99), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(GOLDEN_DOCS[draw(st.sampled_from(sorted(GOLDEN_DOCS)))])
+    kind = draw(st.sampled_from(["drop", "add", "retype", "break-hex", "resize"]))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "add":
+        doc[draw(st.text(min_size=1, max_size=8).filter(lambda name: name not in doc))] = draw(JSON_VALUES)
+    elif kind == "retype":
+        name = draw(st.sampled_from(sorted(doc)))
+        doc[name] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(doc[name])))
+    elif kind == "break-hex":
+        name = draw(st.sampled_from([n for n in HEX_FIELDS if doc[n] is not None]))
+        texts = doc[name] if isinstance(doc[name], list) else None
+        index = draw(st.integers(0, len(texts) - 1)) if texts else None
+        text = texts[index] if texts else doc[name]
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["upper", "insert", "replace", "strip-prefix"]))
+        if edit == "upper":
+            text = text[:2] + text[2:].upper()
+        elif edit == "strip-prefix":
+            text = text[2:]
+        else:
+            char = draw(st.sampled_from(list("_ G-+.xX0aF\n")))
+            text = text[:at] + char + text[at + (edit == "replace"):]
+        if texts:
+            texts[index] = text
+        else:
+            doc[name] = text
+    else:
+        name = draw(st.sampled_from([n for n in LIST_FIELDS if doc[n] is not None]))
+        size = draw(st.integers(0, 5))
+        extra = [hex(draw(st.integers(0, 2**64))) for _ in range(size)]
+        doc[name] = (doc[name] + extra)[:size]
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_a_mutated_golden_document_is_refused_failed_or_within_the_schema(doc):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parent.parent / "docs" / "key-schema.json").read_text())
+    try:
+        kp = keyfile.load_key_document(doc)
+    except ParameterError:
+        return
+    within = jsonschema.Draft7Validator(schema).is_valid
+    if not (within(doc) and within(keyfile.keypair_to_document(kp))):
+        assert validate.validate_key(kp) != []

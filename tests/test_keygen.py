@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 from fractions import Fraction
@@ -177,6 +178,26 @@ def test_default_gamma_resolution():
     g = p.resolved_gamma()
     assert 0 < g < 1
     assert abs(float(g) - 64 ** (-0.4)) < 1e-9
+
+
+def _gamma_oracle(k, epsilon):
+    """k^(-1/2 + epsilon) at 80 digits, rounded once to the nearest double."""
+    ctx = decimal.Context(prec=80)
+    value = ctx.exp(ctx.multiply(decimal.Decimal(-0.5 + epsilon), ctx.ln(k)))
+    return Fraction(float(value)).limit_denominator(1 << 32)
+
+
+# Every even k at the default epsilon, and a sample of k at three others;
+# libm's pow misses the nearest double at the listed k (glibc 2.36).
+GAMMA_CASES = [(0.1, range(16, 8193, 2))] + [
+    (eps, [*range(16, 8193, 98), *libm_misses])
+    for eps, libm_misses in [(0.01, [5002, 5854]), (0.25, [5140, 7278]), (0.45, [2090, 7784])]
+]
+
+
+@pytest.mark.parametrize("epsilon, ks", GAMMA_CASES, ids=[str(eps) for eps, _ in GAMMA_CASES])
+def test_default_gamma_is_the_nearest_double_to_its_power(epsilon, ks):
+    assert [k for k in ks if keygen.default_gamma(k, epsilon) != _gamma_oracle(k, epsilon)] == []
 
 
 def test_default_ell_is_log2_k():
@@ -403,6 +424,13 @@ def test_validator_rejects_random_single_field_tampering():
             doc["residues"][idx] = hex((int(doc["residues"][idx], 16) + delta) % kp.m_modulus)
         failures = validate.validate_key(keyfile.load_key_document(doc))
         assert failures != [], f"undetected tamper: {field} +{delta}"
+
+
+def test_a_modulus_wider_than_a_key_file_allows_is_not_finalized():
+    """A layered key's outer primes may pass k//2 bits, and its N k bits."""
+    p, q = 2**4253 - 1, 2**4423 - 1
+    assert keygen._finalize_exponents(65537, [p, q]) is None
+    assert keygen._finalize_exponents(65537, [p, 2**3217 - 1]) is not None
 
 
 def test_an_ell_too_wide_is_refused_before_listing_primes(monkeypatch, wall_clock):
