@@ -26,9 +26,9 @@ from . import keyfile
 from .errors import ParameterError, ProxRsaError, SearchExhaustedError
 
 EXIT_OK = 0
-EXIT_IO = 1
-EXIT_EXHAUSTED = 2
-EXIT_BAD_PARAMS = 3
+EXIT_IO = ProxRsaError.exit_code
+EXIT_EXHAUSTED = SearchExhaustedError.exit_code
+EXIT_BAD_PARAMS = ParameterError.exit_code
 EXIT_VERIFY_FAILED = 4
 
 INSECURE_SMALL_THRESHOLD = 2048
@@ -150,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, dest="modulus")
     p.add_argument("--a", type=int, default=None, help="base; omit to sweep")
     p.add_argument("--Q", type=int, default=None, dest="q_size", help=q_help)
-    p.add_argument("--no-refine", action="store_true")
     p.add_argument("--sweep", type=int, default=20, help="bases to sample when --a is omitted")
     p.add_argument("--seed", type=str, default="00" * 32, help="seed for the base sweep")
     p.add_argument("-o", "--out", type=str, default=None)
@@ -235,16 +234,10 @@ def _cmd_analyze(args) -> int:
     key = keyfile.read_key_file(args.keyfile)
     if len(key.primes) < 2:
         raise ParameterError(f"{args.keyfile}: analyze needs a key of at least two primes")
-    if key.inner_primes:
-        # layered keys: the quantum structure rides on the close inner
-        # pair; classical attacks see the outer modulus (classical_report)
-        pair = key.inner_primes
-    elif len(key.primes) == 2:
-        pair = key.primes
-    else:
-        # multi-prime: report the closest pair, the one the proximity
-        # constraint binds hardest
-        pair = _closest_pair(key.primes)
+    # Layered keys: the quantum structure rides on the close inner pair,
+    # while classical attacks see the outer modulus (classical_report).
+    # Other keys report the pair with the smallest normalized gap.
+    pair = key.inner_primes or _closest_pair(key.primes)
     quantum = analysis.complexity_report(
         pair[0], pair[1], key.gamma, k=key.k, kappa=args.kappa, eps_param=args.eps_param
     )
@@ -263,39 +256,25 @@ def _cmd_shor_sim(args) -> int:
     from . import shor_sim
     from .numerics import SeedStream
 
-    refine = not args.no_refine
     n = args.modulus
     q_size = shor_sim.default_q(n) if args.q_size is None else args.q_size
-    if args.a is not None:
-        ((r, plain, refined),) = shor_sim.base_probabilities(n, [args.a], q_size)
-        doc = {
-            "N": n,
-            "a": args.a,
-            "r": r,
-            "Q": q_size,
-            "success_prob": plain,
-            "success_prob_refined": refined,
-            "refinement_default": refine,
-            "circuit_orders": shor_sim.circuit_order_estimates(n),
-        }
+    if args.a is None:
+        bases = shor_sim.draw_bases(SeedStream(_parse_seed(args.seed)), n, args.sweep)
     else:
-        stream = SeedStream(_parse_seed(args.seed))
-        bases = shor_sim.draw_bases(stream, n, args.sweep)
-        per_base = [
-            {"a": a, "r": r, "success_prob": plain, "success_prob_refined": refined}
-            for a, (r, plain, refined) in zip(bases, shor_sim.base_probabilities(n, bases, q_size))
-        ]
-        key = "success_prob_refined" if refine else "success_prob"
-        doc = {
-            "N": n,
-            "Q": q_size,
-            "bases": per_base,
-            "mean_success_prob": math.fsum(b["success_prob"] for b in per_base) / len(per_base),
-            "mean_success_prob_refined": math.fsum(b["success_prob_refined"] for b in per_base)
-            / len(per_base),
-            "refinement_default": refine,
-            "selected_mean": math.fsum(b[key] for b in per_base) / len(per_base),
-        }
+        bases = [args.a]
+    per_base = [
+        {"a": a, "r": r, "success_prob": plain, "success_prob_refined": refined}
+        for a, (r, plain, refined) in zip(bases, shor_sim.base_probabilities(n, bases, q_size))
+    ]
+    doc = {
+        "N": n,
+        "Q": q_size,
+        "bases": per_base,
+        "mean_success_prob": math.fsum(b["success_prob"] for b in per_base) / len(per_base),
+        "mean_success_prob_refined": math.fsum(b["success_prob_refined"] for b in per_base)
+        / len(per_base),
+        "circuit_orders": shor_sim.circuit_order_estimates(n),
+    }
     _emit(_json_text(doc), args.out)
     return EXIT_OK
 
@@ -355,18 +334,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SearchExhaustedError as exc:
+    except (ProxRsaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    except ProxRsaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return exc.exit_code if isinstance(exc, ProxRsaError) else EXIT_IO
 
 
 if __name__ == "__main__":

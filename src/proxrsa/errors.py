@@ -1,16 +1,21 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes, so raising the right class
-matters more than the message text.
+matters more than the message text.  Each class's exit code is its
+`exit_code` attribute, which subclasses inherit.
 """
 
 
 class ProxRsaError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ParameterError(ProxRsaError):
-    """A precondition on user-supplied parameters was violated (exit 3)."""
+    """A precondition on user-supplied parameters was violated."""
+
+    exit_code = 3
 
 
 class InfeasibleError(ParameterError):
@@ -18,7 +23,9 @@ class InfeasibleError(ParameterError):
 
 
 class SearchExhaustedError(ProxRsaError):
-    """A bounded search ran out of candidates (exit 2)."""
+    """A bounded search ran out of candidates."""
+
+    exit_code = 2
 
 
 class StreamExhaustedError(SearchExhaustedError):
@@ -26,7 +33,7 @@ class StreamExhaustedError(SearchExhaustedError):
 
 
 class NumericalError(ProxRsaError):
-    """A numerical bracket could not decide, e.g. the validator's entropy budget (exit 1)."""
+    """A numerical bracket could not decide, e.g. the validator's entropy budget."""
 
 
 class RangeTooLargeError(ParameterError):

@@ -171,8 +171,10 @@ def _partner_candidates(p: int, residue: int, modulus: int, max_gap: int):
     return itertools.takewhile(lambda q: abs(q - p) < max_gap, merged)
 
 
-def _partner_primes(p: int, residue: int, modulus: int, max_gap: int, max_candidates: int):
-    """Probable primes among the first max_candidates of _partner_candidates."""
+def _partner_primes(p: int, residue: int, modulus: int, gamma: Fraction, max_candidates: int):
+    """Probable primes among the first max_candidates of _partner_candidates
+    inside the open window |q - p| < gamma * p."""
+    max_gap = (gamma.numerator * p - 1) // gamma.denominator + 1  # ceil(gamma * p)
     for q in itertools.islice(_partner_candidates(p, residue, modulus, max_gap), max_candidates):
         if numerics.is_probable_prime(q):
             yield q
@@ -295,9 +297,7 @@ def _attempt_pair(stream, bits, residues, m_modulus, gamma, params):
     p = _draw_anchor(stream, bits, residues[0], m_modulus, params)
     if p is None:
         return None
-    # Smallest gap outside the open window |q - p| < gamma * p.
-    max_gap = (gamma.numerator * p - 1) // gamma.denominator + 1
-    for q in _partner_primes(p, residues[1], m_modulus, max_gap, params.max_candidates):
+    for q in _partner_primes(p, residues[1], m_modulus, gamma, params.max_candidates):
         ok, report = check_entropy_constraint(p, q, gamma, params.beta)
         if ok:
             return [p, q], report, None
@@ -324,9 +324,8 @@ def _attempt_cluster(stream, prime_bits, residues, m_modulus, gamma, params):
     if anchor is None:
         return None
     primes = [anchor]
-    max_gap = gamma.numerator * anchor // gamma.denominator + 1
     for residue in residues[1:]:
-        partners = _partner_primes(anchor, residue, m_modulus, max_gap, params.max_candidates)
+        partners = _partner_primes(anchor, residue, m_modulus, gamma, params.max_candidates)
         chosen = next(
             (q for q in partners if all(proximity_holds_exact(p, q, gamma) for p in primes)),
             None,

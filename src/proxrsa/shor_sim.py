@@ -304,29 +304,20 @@ def _half_units(o: int) -> list[int]:
 def _success_by_continued_fraction(n: int, r: int, q_size: int) -> tuple[float, float]:
     """(plain, refined) with one recover_period call per candidate y.
 
-    One pass over c advances (y, rem) = divmod(c*Q, r); the candidates for
-    c are y (at distance rem from c*Q/r) and y + 1 (at distance r - rem),
-    and each distance is scored once.
+    With (y, rem) = divmod(c*Q, r), the candidates for c are y (at distance
+    rem from c*Q/r) and y + 1 (at distance r - rem), each kept when its
+    distance is at most r/2, so both only at an exact tie.  Each distance
+    is scored once.  This path runs only when Q < N^2 <= 2^40, so c*Q
+    stays small.
     """
-    step_y, step_rem = divmod(q_size, r)
-    y, rem = -step_y, -step_rem  # divmod(c*Q, r) after the step at the top of the loop
     by_distance: dict[int, float] = {}
     plain: list[float] = []
     refined: list[float] = []
-    for _ in range(r):
-        y += step_y
-        rem += step_rem
-        if rem >= r:
-            y += 1
-            rem -= r
-        twice = 2 * rem
-        if twice < r:
-            candidates = ((y, rem),)
-        elif twice > r:
-            candidates = ((y + 1, r - rem),)
-        else:
-            candidates = ((y, rem), (y + 1, rem))
-        for y_c, distance in candidates:
+    for c in range(r):
+        y, rem = divmod(c * q_size, r)
+        for y_c, distance in ((y, rem), (y + 1, r - rem)):
+            if 2 * distance > r:
+                continue
             r_hat = recover_period(y_c, q_size, n)
             if r_hat is None or not _lifts_to(r_hat, r, n):
                 continue

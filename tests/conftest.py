@@ -19,7 +19,11 @@ class WallClockExceeded(Exception):
 
 @pytest.fixture
 def wall_clock():
-    """Context manager factory: fail the block with WallClockExceeded after `seconds`."""
+    """Context manager factory: fail the block with WallClockExceeded after `seconds`.
+
+    The timer re-arms every `seconds`: an alarm that fires inside a
+    garbage-collector callback is printed and dropped there, not raised,
+    and the next one still ends the block."""
 
     @contextlib.contextmanager
     def limit(seconds):
@@ -27,7 +31,7 @@ def wall_clock():
             raise WallClockExceeded(f"exceeded the {seconds} s wall-clock bound")
 
         previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
+        signal.setitimer(signal.ITIMER_REAL, seconds, seconds)
         try:
             yield
         finally:

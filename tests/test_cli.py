@@ -177,10 +177,10 @@ def test_analyze_with_fano_inputs(tmp_path, capsys):
 def test_shor_sim_single_base(capsys):
     code, out, _ = run(capsys, "shor-sim", "--N", "15", "--a", "7", "--Q", "2048")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["r"] == 4
-    assert doc["success_prob"] == pytest.approx(0.5, abs=1e-12)
-    assert doc["success_prob_refined"] == pytest.approx(0.75, abs=1e-12)
+    base = json.loads(out)["bases"][0]
+    assert base["r"] == 4
+    assert base["success_prob"] == pytest.approx(0.5, abs=1e-12)
+    assert base["success_prob_refined"] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_shor_sim_single_base_skips_the_dense_vector(cli_probe):
@@ -298,6 +298,22 @@ def test_wall_clock_bound_is_not_an_exit_code(monkeypatch, wall_clock):
         with wall_clock(0.05):
             cli.main(["verify", "key.json"])
     assert not isinstance(raised.value, OSError)
+
+
+def test_wall_clock_fires_again_after_a_swallowed_alarm(wall_clock):
+    """A block that drops the first expiry, as a garbage-collector callback
+    does, still ends within one more bound, not after its own sleep."""
+    import time
+
+    start = time.monotonic()
+    with pytest.raises(Exception, match="wall-clock bound"):
+        with wall_clock(0.05):
+            try:
+                time.sleep(5)
+            except Exception:
+                pass
+            time.sleep(2)
+    assert time.monotonic() - start < 1
 
 
 def test_shor_compare_never_imports_numpy(cli_probe):
@@ -654,6 +670,16 @@ def test_compare_summary_schema_validates(tmp_path, capsys):
     )
     assert code == 0
     jsonschema.validate(json.loads(out), schema)
+
+
+def test_shor_sim_schema_validates(capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+
+    schema = json.loads((pathlib.Path(__file__).resolve().parents[1] / "docs" / "shor-sim-schema.json").read_text())
+    for argv in (["--N", "2047", "--a", "2"], ["--N", "221"]):
+        code, out, _ = run(capsys, "shor-sim", *argv)
+        assert code == 0
+        jsonschema.validate(json.loads(out), schema)
 
 
 def test_analyze_multiprime_uses_closest_pair(tmp_path, capsys):
