@@ -137,8 +137,8 @@ def complexity_report(
 ) -> QuantumReport:
     """All quantum-side metrics for the pair, asymptotic constants set to 1.
 
-    fano_lower_bound is only filled when the caller supplies kappa (and a
-    positive eps_param); no procedure computes kappa here.
+    fano_lower_bound is filled when the caller supplies a positive kappa
+    and eps_param; eps_param alone is refused.  No procedure computes kappa.
     """
     n = p * q
     if k is None:
@@ -147,9 +147,11 @@ def complexity_report(
         raise ParameterError(f"k must be >= 1: {k}")
     g = reals.div(reals.binary(gamma.numerator, BITS), reals.binary(gamma.denominator, BITS), BITS)
     fano = None
+    if kappa is None and eps_param is not None:
+        raise ParameterError("fano bound needs kappa with eps_param")
     if kappa is not None:
-        if eps_param is None or eps_param <= 0:
-            raise ParameterError("fano bound needs a positive eps_param")
+        if eps_param is None or eps_param <= 0 or kappa <= 0:
+            raise ParameterError("fano bound needs a positive kappa and eps_param")
         if not (math.isfinite(kappa) and math.isfinite(eps_param)):
             raise ParameterError("fano bound needs a finite kappa and eps_param")
         # mp.log(k, 2): ln k over ln 2, both at BITS + 20 bits

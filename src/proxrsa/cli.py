@@ -253,6 +253,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_shor_sim(args) -> int:
+    from statistics import fmean
+
     from . import shor_sim
     from .numerics import SeedStream
 
@@ -270,9 +272,8 @@ def _cmd_shor_sim(args) -> int:
         "N": n,
         "Q": q_size,
         "bases": per_base,
-        "mean_success_prob": math.fsum(b["success_prob"] for b in per_base) / len(per_base),
-        "mean_success_prob_refined": math.fsum(b["success_prob_refined"] for b in per_base)
-        / len(per_base),
+        "mean_success_prob": fmean(b["success_prob"] for b in per_base),
+        "mean_success_prob_refined": fmean(b["success_prob_refined"] for b in per_base),
         "circuit_orders": shor_sim.circuit_order_estimates(n),
     }
     _emit(_json_text(doc), args.out)
@@ -284,18 +285,15 @@ def _cmd_shor_compare(args) -> int:
     from .numerics import SeedStream
 
     stream = SeedStream(_parse_seed(args.seed))
-    report = shor_sim.compare_moduli(
-        args.bits, args.pairs, args.gamma, stream, args.q_size, args.bases
-    )
-    header = ["N" if name == "n" else name for name in shor_sim.ComparisonRow._fields]
-    _emit(_csv_text([header, *report.rows]), args.out)
+    rows = shor_sim.compare_moduli(args.bits, args.pairs, args.gamma, stream, args.q_size, args.bases)
+    _emit(_csv_text([shor_sim.ComparisonRow._fields, *rows]), args.out)
     if args.out is not None:
         summary = {
-            "bit_size": report.bit_size,
-            "gamma_close": report.gamma_close,
-            "bases_per_modulus": report.bases_per_modulus,
-            "rows": len(report.rows),
-            "groups": report.group_summary(),
+            "bit_size": args.bits,
+            "gamma_close": args.gamma,
+            "bases_per_modulus": args.bases,
+            "rows": len(rows),
+            "groups": shor_sim.group_summary(rows),
         }
         sys.stdout.write(_json_text(summary))
     return EXIT_OK

@@ -161,6 +161,11 @@ def _budget(gamma: Fraction, beta: float) -> tuple[int, int]:
     return reals.mul(_bin(beta), _log2(inverse), PRECISION_BITS)
 
 
+def entropy_budget(gamma: Fraction, beta: float) -> Fraction:
+    """The H2 budget beta*log2(1/gamma), in bits, that generation tests against."""
+    return _fraction(_budget(gamma, beta))
+
+
 def check_entropy_constraint(
     p: int, q: int, gamma: Union[Fraction, float], beta: float
 ) -> tuple[bool, EntropyReport]:
@@ -181,7 +186,7 @@ def check_entropy_constraint(
     purity = _purity(delta)
     man, exp = _log2(purity)
     h2 = _fraction((-man, exp))
-    budget = _fraction(_budget(gamma, beta))
+    budget = entropy_budget(gamma, beta)
     ok = prox_ok and h2 < budget
     report = EntropyReport(
         delta=_fraction(delta),

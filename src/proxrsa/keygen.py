@@ -13,16 +13,16 @@ Three variants share one pipeline:
   modulus.
 
 `_generate` is that pipeline: it builds M, draws the residues (refusing
-an e with a factor in every p - 1) and runs the one restart loop,
-calling a per-variant attempt and finalizing the exponents of whatever
-the attempt returns.  Every attempt is built from
-two candidate scans: numerics.next_prime_in_progression for anchors and
-outer primes (the outer candidates K*2^shift + p are the progression
-== p mod 2^shift), and `_partner_primes`, the probable primes among the
-first max_candidates candidates around an anchor, closest first.  Those
-candidates are one merge of two progressions in the partner's residue
-class, the one falling from just below the anchor and the one rising from
-just above it, ordered by distance to the anchor.
+an e with a factor in every p - 1, and an entropy budget no pair can
+meet) and runs the one restart loop, calling a per-variant attempt and
+finalizing the exponents of whatever the attempt returns.  Every attempt
+is built from two candidate scans: numerics.next_prime_in_progression
+for anchors and outer primes (the outer candidates K*2^shift + p are the
+progression == p mod 2^shift), and `_partner_primes`, the probable
+primes among the first max_candidates candidates around an anchor,
+closest first.  Those candidates are one merge of two progressions in the
+partner's residue class, the one falling from just below the anchor and
+the one rising from just above it, ordered by distance to the anchor.
 
 Everything is a deterministic function of the parameters (seed included):
 candidate bases, residues and search order are all derived from one
@@ -43,6 +43,7 @@ from . import numerics, reals
 from .entropy import (
     EntropyReport,
     check_entropy_constraint,
+    entropy_budget,
     h2_from_delta,
     multiprime_h2_bound,
     proximity_delta,
@@ -237,6 +238,22 @@ def _generate(params, variant, ell, count, bits, attempt, exhausted) -> KeyPair:
                 f" {numerics.prime_factors(shared)[0]} divides p - 1 for every p == {r} (mod M)"
             )
     gamma = params.resolved_gamma()
+    # A pair-gated anchor lies below P = 2^bits + max_candidates*M, its
+    # partner below twice the anchor, and |p - q| >= d_min, the gap between
+    # the two residue classes, so delta > sqrt(2)*d_min/(2P).  That sqrt(2)
+    # lifts the ratio 4*delta^2/(2 + delta)^2, in which the 192-bit H2 is
+    # monotone, by at least 1.5 (2 for small delta), far above its 2^-185
+    # rounding: no pair meets a budget at or below H2(d_min/(2P)), and a
+    # budget that some pair could meet is never refused.
+    if variant != "multiprime":
+        r0, r1 = residues
+        d_min = min((r1 - r0) % m_modulus, (r0 - r1) % m_modulus)
+        h2_floor = h2_from_delta(Fraction(d_min, 2 * ((1 << bits) + params.max_candidates * m_modulus)))
+        if h2_floor >= entropy_budget(gamma, params.beta):
+            raise SearchExhaustedError(
+                f"entropy budget beta*log2(1/gamma) is unreachable at beta={params.beta}, gamma={gamma}:"
+                f" every pair the residues allow has H2 above {float(h2_floor):.3g} bits"
+            )
     for _ in range(params.max_restarts):
         found = attempt(stream, bits, residues, m_modulus, gamma, params)
         if found is None:

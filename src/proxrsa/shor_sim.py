@@ -27,10 +27,11 @@ about r candidates carry the success mass.  Their sum equals the full sum
 over all Q outcomes, which keeps Q = N^2 tractable at any toy size.  The
 closed form depends on y only through t = r*y mod Q, and takes the same
 value at t and Q - t, so it depends on a candidate only through its
-distance |y*r - c*Q| <= r/2.  Every sum of probabilities, and every mean
-the commands print, is exactly rounded (math.fsum; Shewchuk, Discrete
-Comput. Geom. 18, 1997), so it does not depend on the order of its terms
-or on the Python version.
+distance |y*r - c*Q| <= r/2.  Every sum of probabilities is exactly
+rounded (math.fsum; Shewchuk, Discrete Comput. Geom. 18, 1997), and every
+mean the commands print is statistics.fmean, which is that fsum divided
+by the count, so none depends on the order of its terms or on the Python
+version.
 
 When Q >= N^2 (the default Q), no continued fraction runs: the candidates
 for c recover rhat = r/gcd(c, r), the denominator of c/r in lowest terms,
@@ -62,6 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from statistics import fmean
 from typing import NamedTuple, Optional
 
 from . import numerics
@@ -74,10 +76,10 @@ MAX_Q = 1 << 512
 
 
 class ComparisonRow(NamedTuple):
-    """One shor-compare CSV row; the fields are its columns, in order, with n written N."""
+    """One shor-compare CSV row; the fields are its columns, in order."""
 
     group: str
-    n: int
+    N: int
     p: int
     q: int
     delta: float
@@ -87,27 +89,19 @@ class ComparisonRow(NamedTuple):
     mean_success_prob_refined: float
 
 
-class ComparisonReport(NamedTuple):
-    bit_size: int
-    gamma_close: float
-    q_size: Optional[int]
-    bases_per_modulus: int
-    rows: list[ComparisonRow]
-
-    def group_summary(self) -> dict:
-        out = {}
-        for group in ("close", "control"):
-            rows = [r for r in self.rows if r.group == group]
-            if not rows:
-                continue
+def group_summary(rows: list[ComparisonRow]) -> dict:
+    """Count and mean delta and success probabilities of each group present."""
+    out = {}
+    for group in ("close", "control"):
+        members = [r for r in rows if r.group == group]
+        if members:
             out[group] = {
-                "count": len(rows),
-                "mean_delta": math.fsum(r.delta for r in rows) / len(rows),
-                "mean_success_prob": math.fsum(r.mean_success_prob for r in rows) / len(rows),
-                "mean_success_prob_refined": math.fsum(r.mean_success_prob_refined for r in rows)
-                / len(rows),
+                "count": len(members),
+                "mean_delta": fmean(r.delta for r in members),
+                "mean_success_prob": fmean(r.mean_success_prob for r in members),
+                "mean_success_prob_refined": fmean(r.mean_success_prob_refined for r in members),
             }
-        return out
+    return out
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -415,13 +409,12 @@ def compare_moduli(
     stream: SeedStream,
     q_size: Optional[int] = None,
     bases_per_modulus: int = 20,
-) -> ComparisonReport:
-    """Success statistics for close prime pairs versus wide ("control") pairs.
+) -> list[ComparisonRow]:
+    """One row of success statistics per sampled close or wide ("control") pair.
 
-    Close pairs are consecutive prime pairs with delta < gamma_close;
-    control pairs are consecutive pairs whose delta lies in the top
-    quartile for the size.  The report is data only: no direction is
-    asserted.
+    Close pairs have delta < gamma_close; control pairs have a delta in
+    the top quartile of all pairs of the size.  The rows are data only: no
+    direction is asserted.
     """
     if not 8 <= bit_size <= _MAX_TOY_BITS:
         raise ParameterError(f"bit_size must lie in [8, {_MAX_TOY_BITS}]: {bit_size}")
@@ -455,13 +448,7 @@ def compare_moduli(
             f"{len(close_pool)} close / {len(control_pool)} control, need {n_pairs}"
         )
 
-    report = ComparisonReport(
-        bit_size=bit_size,
-        gamma_close=gamma_close,
-        q_size=q_size,
-        bases_per_modulus=bases_per_modulus,
-        rows=[],
-    )
+    rows = []
     for group, pool in (("close", close_pool), ("control", control_pool)):
         picks = _sample_indices(stream, len(pool), n_pairs)
         for idx in sorted(picks):
@@ -469,20 +456,17 @@ def compare_moduli(
             n = p * q
             q_here = q_size if q_size is not None else default_q(n)
             stats = base_probabilities(n, draw_bases(stream, n, bases_per_modulus), q_here)
-            plain = [s[1] for s in stats]
-            refined = [s[2] for s in stats]
-            g = math.gcd(p - 1, q - 1)
-            report.rows.append(
+            rows.append(
                 ComparisonRow(
                     group=group,
-                    n=n,
+                    N=n,
                     p=p,
                     q=q,
                     delta=delta,
-                    angular_separation_num=g,
+                    angular_separation_num=math.gcd(p - 1, q - 1),
                     angular_separation_den=(p - 1) * (q - 1),
-                    mean_success_prob=math.fsum(plain) / len(plain),
-                    mean_success_prob_refined=math.fsum(refined) / len(refined),
+                    mean_success_prob=fmean(s[1] for s in stats),
+                    mean_success_prob_refined=fmean(s[2] for s in stats),
                 )
             )
-    return report
+    return rows

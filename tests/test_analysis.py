@@ -151,9 +151,17 @@ def test_complexity_report_fano():
     assert abs(as_float(rep.fano_lower_bound) - want) < 1e-6
     with pytest.raises(ParameterError):
         analysis.complexity_report(101, 103, Fraction(1, 10), kappa=0.5)
-    # mpmath printed "nan", "0.0" or a complex k^1.5 for these
-    for kappa, eps in [(math.nan, 0.01), (0.5, math.inf), (math.inf, 0.01)]:
-        with pytest.raises(ParameterError, match="finite"):
+    # mpmath printed "nan", "0.0" or a complex k^1.5 for the first three; a
+    # kappa <= 0 gave a bound <= 0, and an eps_param alone was ignored
+    for kappa, eps, why in [
+        (math.nan, 0.01, "finite"),
+        (0.5, math.inf, "finite"),
+        (math.inf, 0.01, "finite"),
+        (-2.0, 0.5, "positive kappa"),
+        (0.0, 0.01, "positive kappa"),
+        (None, 0.5, "kappa with eps_param"),
+    ]:
+        with pytest.raises(ParameterError, match=why):
             analysis.complexity_report(101, 103, Fraction(1, 10), k=64, kappa=kappa, eps_param=eps)
     for k in (0, -5):
         with pytest.raises(ParameterError, match="k must be >= 1"):

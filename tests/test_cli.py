@@ -174,6 +174,14 @@ def test_analyze_with_fano_inputs(tmp_path, capsys):
     assert json.loads(out)["quantum"]["fano_lower_bound"] is not None
 
 
+@pytest.mark.parametrize("flags", [["--kappa", "-2", "--eps-param", "0.5"], ["--eps-param", "0.5"]])
+def test_analyze_refuses_fano_inputs_it_would_misuse_or_ignore(flags, capsys):
+    key = DATA / "keys" / "keygen-k512-seed00.json"
+    code, out, err = run(capsys, "analyze", str(key), *flags)
+    assert (code, out) == (cli.EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: fano bound needs ")
+
+
 def test_shor_sim_single_base(capsys):
     code, out, _ = run(capsys, "shor-sim", "--N", "15", "--a", "7", "--Q", "2048")
     assert code == 0

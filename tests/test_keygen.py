@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proxrsa import keyfile, keygen, numerics, validate
+from proxrsa import entropy, keyfile, keygen, numerics, validate
 from proxrsa.errors import InfeasibleError, ParameterError, SearchExhaustedError
 from proxrsa.keygen import KeyGenParams
 from proxrsa.numerics import SeedStream, mod_pow
@@ -454,6 +454,10 @@ class Drawn(Exception):
     pass
 
 
+def draw(*args):
+    raise Drawn
+
+
 @pytest.mark.parametrize(
     "variant, e, refused",
     [("standard", 3, True), ("multi", 3, True), ("multi", 5, False), ("compat", 3, False)],
@@ -463,10 +467,6 @@ def test_an_e_dividing_every_p_minus_1_is_refused_before_the_first_draw(variant,
     Two residues differ mod 3, so one is 1 mod 3; at seed 0 the three
     multi-prime residues are 2, 1, 1 mod 3 and 3, 4, 2 mod 5.  The
     compatible variant's outer primes are not tied to the residues."""
-
-    def draw(*args):
-        raise Drawn
-
     monkeypatch.setattr(keygen, "_draw_anchor", draw)
     generate, k, _ = SCANS[variant]
     if refused:
@@ -475,6 +475,46 @@ def test_an_e_dividing_every_p_minus_1_is_refused_before_the_first_draw(variant,
         expected = pytest.raises(Drawn)
     with expected:
         generate(params64(k=k, e=e))
+
+
+@pytest.mark.parametrize("variant, refused", [("standard", True), ("compat", True), ("multi", False)])
+def test_an_unreachable_entropy_budget_is_refused_before_the_first_draw(variant, refused, monkeypatch):
+    """Every gap is at least the distance between the two residue classes,
+    so at beta = 1e-320 no pair can pass the entropy gate.  The multi-prime
+    variant has no such gate."""
+    monkeypatch.setattr(keygen, "_draw_anchor", draw)
+    generate, k, _ = SCANS[variant]
+    if refused:
+        expected = pytest.raises(SearchExhaustedError, match=r"^entropy budget .* is unreachable at beta=1e-320")
+    else:
+        expected = pytest.raises(Drawn)
+    with expected:
+        generate(params64(k=k, beta=1e-320))
+
+
+@pytest.mark.parametrize("factor, refused", [(1 - 1e-9, True), (1 + 1e-9, False)])
+def test_the_budget_refusal_ends_at_the_h2_of_the_smallest_reachable_delta(factor, refused, monkeypatch):
+    """At k = 64 every anchor lies below P = 2^32 + max_candidates*M and every
+    gap is at least d_min, so the refusal holds up to H2(d_min/(2P)); at
+    gamma = 1/4 the budget is 2*beta."""
+    monkeypatch.setattr(keygen, "_draw_anchor", draw)
+    m = keygen.build_small_modulus(6)
+    r0, r1 = keygen.derive_residues(m, SeedStream(ZERO_SEED), 2)
+    d_min = min((r1 - r0) % m, (r0 - r1) % m)
+    edge = float(entropy.h2_from_delta(Fraction(d_min, 2 * (2**32 + 10_000 * m))) / 2)
+    with pytest.raises(SearchExhaustedError if refused else Drawn):
+        keygen.generate_keypair(params64(beta=edge * factor))
+
+
+def test_keygen_with_an_unreachable_budget_exits_2_at_once(wall_clock, capsys):
+    """Before the refusal this exited 2 after about two minutes of rejected
+    partners on a 2-vCPU VM."""
+    from proxrsa import cli
+
+    argv = ["keygen", "--k", "64", "--gamma", "1/4", "--beta", "1e-320", "--insecure-small", "--seed", "00" * 32]
+    with wall_clock(5):
+        assert cli.main(argv) == cli.EXIT_EXHAUSTED
+    assert "entropy budget beta*log2(1/gamma) is unreachable" in capsys.readouterr().err
 
 
 def test_keygen_with_e_3_exits_2_at_once(wall_clock, capsys):

@@ -227,6 +227,10 @@ def _exp_agrees(mine, theirs, want):
 def test_complexity_report_is_the_mpmath_formula(pq, gamma, k, fano):
     p, q = pq
     kappa, eps = fano if fano is not None else (None, None)
+    if kappa is not None and kappa <= 0:  # the formula's bound would be <= 0
+        with pytest.raises(ParameterError, match="positive kappa"):
+            analysis.complexity_report(p, q, gamma, k, kappa, eps)
+        return
     try:
         want = oracle.complexity_values(p, q, gamma, k, kappa, eps)
     except ValueError:  # delta outside [0, 2]

@@ -527,26 +527,26 @@ def test_circuit_order_estimates_closed_forms():
 
 
 def test_compare_moduli_small_run():
-    report = shor_sim.compare_moduli(10, 3, 0.35, SeedStream(bytes(32)), bases_per_modulus=5)
-    assert len(report.rows) == 6
-    close = [r for r in report.rows if r.group == "close"]
-    control = [r for r in report.rows if r.group == "control"]
+    rows = shor_sim.compare_moduli(10, 3, 0.35, SeedStream(bytes(32)), bases_per_modulus=5)
+    assert len(rows) == 6
+    close = [r for r in rows if r.group == "close"]
+    control = [r for r in rows if r.group == "control"]
     assert len(close) == 3 and len(control) == 3
-    for row in report.rows:
+    for row in rows:
         assert 0.0 <= row.mean_success_prob <= 1.0
         assert 0.0 <= row.mean_success_prob_refined <= 1.0
-        assert row.n == row.p * row.q
-        assert row.n.bit_length() == 10
+        assert row.N == row.p * row.q
+        assert row.N.bit_length() == 10
     for row in close:
         assert row.delta < 0.35
-    summary = report.group_summary()
+    summary = shor_sim.group_summary(rows)
     assert set(summary) == {"close", "control"}
 
 
 def test_compare_moduli_is_deterministic():
     r1 = shor_sim.compare_moduli(10, 2, 0.3, SeedStream(bytes(32)), bases_per_modulus=3)
     r2 = shor_sim.compare_moduli(10, 2, 0.3, SeedStream(bytes(32)), bases_per_modulus=3)
-    assert r1.rows == r2.rows
+    assert r1 == r2
 
 
 @pytest.mark.parametrize(
