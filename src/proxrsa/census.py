@@ -13,11 +13,20 @@ plain census has no span cap beyond the 2^40 bound on hi, and only the
 progression census caps its span, at 2^26.  The module runs on the
 standard library alone; the range is never held as Python ints.
 
+census_pairs splits its range into one contiguous chunk per CPU this
+process may run on, each of at least _MIN_CHUNK numbers.  It counts the
+first chunk itself and each other one in a child made with os.fork,
+which inherits the base primes and sends back four ints over a pipe.
+Where os.sched_getaffinity does not exist (macOS, Windows), one chunk
+holds the whole range; a chunk no child can be made for is counted
+in-process.
+
 For fixed p the predicate holds exactly for 0 < q - p <= G(p), and the
 threshold gap G(p) is an integer square root away (_max_gap_of), never
 falling as p grows.  So neither census tests pairs one by one.
 census_pairs counts primes with mask.count(1) and counts the failing
-pairs: a pair fails when at least G(p)//2 zero bytes follow p, so
+pairs (each chunk its own, and the parent the pair across each chunk
+boundary): a pair fails when at least G(p)//2 zero bytes follow p, so
 mask.find jumps to the next such run for the current G//2, and when it
 follows the current prime, one mask.count counts every such run up to
 where G//2 rises (found by bisection).  census_progression reads each
@@ -36,14 +45,16 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import os
 from array import array
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import numerics
-from .errors import ParameterError, RangeTooLargeError
+from .errors import ParameterError, ProxRsaError, RangeTooLargeError
 
 _SEGMENT = 1 << 24
+_MIN_CHUNK = 1 << 22
 _MAX_PROGRESSION_SPAN = 1 << 26
 
 
@@ -108,13 +119,13 @@ def _max_gap_of(gamma: Fraction):
     return max_gap
 
 
-def _segments(lo: int, hi: int):
+def _segments(lo: int, hi: int, base: list[int]):
     """(lo|1, mask, buffer) per _SEGMENT block of [lo, hi]: mask[i] is 1
     when the odd number (lo|1) + 2*i is prime (numerics._odd_mask), and 2
-    is left to the caller.  One list of base primes and one zero buffer
-    serve every block; buffer[:n + 1], a 1 and n zeros, is the needle for a
-    run of n zeros, for any n below the mask's length."""
-    base = numerics.sieve_range(0, math.isqrt(hi))
+    is left to the caller.  base holds the primes up to at least isqrt(hi)
+    and serves every block, as one zero buffer does; buffer[:n + 1], a 1
+    and n zeros, is the needle for a run of n zeros, for any n below the
+    mask's length."""
     buffer = numerics._zero_buffer(min(_SEGMENT, hi - lo + 1) - 1)
     for start in range(lo, hi + 1, _SEGMENT):
         yield start | 1, numerics._odd_mask(start, min(start + _SEGMENT - 1, hi), base, buffer), buffer
@@ -135,21 +146,20 @@ def _report(lo: int, hi: int, gamma: Fraction, prime_count: int, pair_count: int
     )
 
 
-def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
-    """Count consecutive prime pairs in [lo, hi] passing the proximity test."""
-    numerics._check_bounds(lo, hi)
-    _check_gamma(gamma)
-
+def _chunk_counts(lo: int, hi: int, gamma: Fraction, base: list[int]) -> array:
+    """array('q', [primes, failing consecutive pairs, first prime, last
+    prime]) of [lo, hi], with 0 for a prime that does not exist."""
     max_gap = _max_gap_of(gamma)
-    prev: Optional[int] = 2 if lo <= 2 <= hi else None  # the masks hold odd numbers only
-    prime_count = 0 if prev is None else 1
+    first = prev = 2 if lo <= 2 <= hi else 0  # the masks hold odd numbers only
+    prime_count = 1 if prev else 0
     failures = 0
-    for odd, mask, needles in _segments(lo, hi):
+    for odd, mask, needles in _segments(lo, hi, base):
         i = mask.find(1)
         if i < 0:
             continue
-        if prev is not None and not _proximate(prev, odd + 2 * i, gamma):
+        if prev and not _proximate(prev, odd + 2 * i, gamma):
             failures += 1
+        first = first or odd + 2 * i
         # The pair from the prime p = odd + 2*i fails when G(p)//2 zero bytes
         # and then a prime follow mask[i].  G never falls as p grows, so a
         # run after a later prime moves i there, and a run after mask[i]
@@ -166,6 +176,75 @@ def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
             i = hit
         prime_count += mask.count(1)
         prev = odd + 2 * last
+    return array("q", [prime_count, failures, first, prev])
+
+
+def _count_chunks(chunks: list, gamma: Fraction, base: list[int]) -> list:
+    """_chunk_counts of each (lo, hi) in chunks: the first in this process,
+    each other in a child made with os.fork, or here if none can be made.
+
+    A child sends its counts over a pipe and leaves by os._exit, status 1
+    on an exception, so it never returns into the caller, flushes stdio or
+    runs atexit handlers.  ProxRsaError (exit 1) when a child fails; every
+    child not yet reaped is killed and reaped on the way out."""
+    children = {}  # chunk index -> (pid, read end of its pipe)
+    try:
+        for index in range(1, len(chunks)):
+            try:
+                read, write = os.pipe()
+            except OSError:
+                continue  # counted below, in this process
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        os.write(write, _chunk_counts(*chunks[index], gamma, base).tobytes())
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                children[index] = pid, read
+            except OSError:
+                os.close(read)
+            finally:
+                os.close(write)
+        counts = [None if i in children else _chunk_counts(*c, gamma, base) for i, c in enumerate(chunks)]
+        for index, (pid, read) in list(children.items()):
+            data = os.read(read, 64)  # the child wrote its 32 bytes at once
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[index]
+            os.close(read)
+            if code or len(data) != 32:
+                lo, hi = chunks[index]
+                message = f"census of [{lo}, {hi}] failed in child {pid}: exit {code}, read {len(data)} bytes"
+                raise ProxRsaError(message)
+            counts[index] = array("q", data)
+        return counts
+    finally:
+        for pid, read in children.values():
+            os.close(read)
+            os.kill(pid, 9)  # SIGKILL, without loading the signal module
+            os.waitpid(pid, 0)
+
+
+def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
+    """Count consecutive prime pairs in [lo, hi] passing the proximity test."""
+    numerics._check_bounds(lo, hi)
+    _check_gamma(gamma)
+
+    base = numerics.sieve_range(0, math.isqrt(hi))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # not on macOS, Windows
+    workers = max(1, min(cpus, (hi - lo + 1) // _MIN_CHUNK))
+    edges = [lo + (hi - lo + 1) * w // workers for w in range(workers + 1)]
+    chunks = [(start, end - 1) for start, end in zip(edges, edges[1:])]
+    # With two chunks or more, each spans 2^22 numbers or more and so holds
+    # a prime: no prime gap below 2^40 comes near that.
+    prime_count = failures = prev = 0
+    for primes, fails, first, last in _count_chunks(chunks, gamma, base):
+        prime_count += primes
+        failures += fails
+        if prev and not _proximate(prev, first, gamma):
+            failures += 1
+        prev = last
     pair_count = max(prime_count - 1, 0) - failures
     return _report(lo, hi, gamma, prime_count, pair_count)
 
@@ -196,7 +275,7 @@ def census_progression(
         for members, r in ((in_a, res_a), (in_b, res_b)):
             if 2 % modulus == r:
                 members.append(2)
-    for odd, mask, _ in _segments(lo, hi):
+    for odd, mask, _ in _segments(lo, hi, numerics.sieve_range(0, math.isqrt(hi))):
         prime_count += mask.count(1)
         for members, r in ((in_a, res_a), (in_b, res_b)):
             first = odd + (r - odd) % modulus

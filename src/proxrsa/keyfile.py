@@ -72,13 +72,10 @@ def gamma_to_str(gamma: Fraction) -> str:
 
 
 def gamma_from_str(text: str) -> Fraction:
-    parts = text.strip().split("/")
-    if len(parts) != 2:
-        raise ParameterError(f"gamma must be 'num/den', got {text!r}")
-    try:
-        num, den = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ParameterError(f"gamma must be 'num/den' with integer parts: {text!r}") from exc
+    """The gamma a "num/den" string of ASCII digits names, both parts positive."""
+    if not _RATIONAL.fullmatch(text):
+        raise ParameterError(f"gamma must be 'num/den' with ASCII digits only, got {text[:40]!r}")
+    num, den = map(int, text.split("/"))
     if den <= 0 or num <= 0:
         raise ParameterError(f"gamma parts must be positive: {text!r}")
     return Fraction(num, den)
@@ -101,7 +98,11 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except OSError as exc:
+        # the temporary name is ours, not the caller's: report path instead
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -154,7 +155,7 @@ def _seed(text: str) -> bytes:
 _FIELDS = {
     "variant": ("variant", str, str, str),
     "k": ("k", int, int, int),
-    "gamma": ("gamma", str, gamma_to_str, lambda text: gamma_from_str(_matched(_RATIONAL, text))),
+    "gamma": ("gamma", str, gamma_to_str, gamma_from_str),
     "beta": ("beta", (int, float), float, float),
     "e": ("e", str, hex, _unhex),
     "d": ("d", str, hex, _unhex),

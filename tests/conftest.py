@@ -63,7 +63,7 @@ def cli_process():
 
 
 _PROBE = """
-import json, sys
+import json, resource, sys
 before = set(sys.modules)
 from proxrsa import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
@@ -79,6 +79,7 @@ report = {
         if name.partition(".")[0] in sys.stdlib_module_names
     ),
     "vmhwm_kb": hwm,
+    "children_maxrss_kb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
 }
 print(json.dumps(report), file=sys.stderr)
 """
@@ -92,9 +93,12 @@ def cli_probe():
     and mpmath were imported, the proxrsa submodules loaded (as
     "proxrsa.census" and so on), the standard-library modules the program
     loaded beyond the probe's own imports (as "csv", "decimal" and so
-    on), and the interpreter's own peak RSS in kB (VmHWM).  Unlike
-    ru_maxrss, VmHWM does not start from the high-water mark of the parent
-    process that started the child.  The child starts with -S, so that a
+    on), the interpreter's own peak RSS in kB (VmHWM), and the largest
+    peak RSS in kB of the processes it forked and reaped (ru_maxrss of
+    RUSAGE_CHILDREN, as a census counts its chunks).  Unlike ru_maxrss,
+    VmHWM does not start from the high-water mark of the parent process
+    that started the child; a forked child's RSS starts from the pages
+    it shares with the interpreter.  The child starts with -S, so that a
     module some site hook imports at start (a .pth file may load shutil
     and tempfile) cannot hide one that a command loads.
     """

@@ -1,7 +1,10 @@
 import bisect
+import errno
 import functools
 import json
 import math
+import os
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxrsa import census, cli
-from proxrsa.errors import ParameterError, RangeTooLargeError
+from proxrsa.errors import ParameterError, ProxRsaError, RangeTooLargeError
 from proxrsa.numerics import sieve_range
 
 
@@ -193,7 +196,8 @@ def test_census_pairs_tests_few_pairs_where_the_threshold_grows_fast():
     """Over 2..2^24 at gamma = 1/1000, G(p) runs from 0 to about 16800 in one
     segment; a band between G(first) and G(last) held 1,077,871 pairs."""
     lo, hi, gamma = 2, 1 << 24, Fraction(1, 1000)
-    with mock.patch.object(census, "_proximate", wraps=census._proximate) as counted:
+    # on one CPU, so that no call is made in a forked child, out of the count
+    with on_cpus(1), mock.patch.object(census, "_proximate", wraps=census._proximate) as counted:
         report = census.census_pairs(lo, hi, gamma)
     assert counted.call_count < 50_000
     assert report.pair_count == loop_pairs(lo, hi, gamma)
@@ -311,5 +315,123 @@ def test_plain_census_at_the_top_of_the_range(cli_probe):
     out, report = cli_probe([["census", "--lo", str(lo), "--hi", str(hi), "--gamma", "1/2"]])
     assert report["codes"] == [cli.EXIT_OK]
     assert report["vmhwm_kb"] < 100 * 1024
+    assert report["children_maxrss_kb"] < 100 * 1024  # each forked chunk's peak
     doc = json.loads(out)
     assert doc["pair_count"] == doc["prime_count"] - 1 > 0
+
+
+def on_cpus(count):
+    """Let census_pairs see count CPUs, whatever the host has."""
+    return mock.patch.object(os, "sched_getaffinity", create=True, return_value=set(range(count)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+PLAIN_LO = (1 << 30) + 9 * (1 << 20)  # a grid point of the census benchmark
+
+# (lo, hi, gamma, the prime and pair counts of the one-process census)
+CHUNKED = [
+    # G//2 is 41 on both sides of the boundary at 8,388,609: it cuts a
+    # stretch of equal G//2 whose failing pairs one mask.count would count
+    (2, 1 << 24, Fraction(1, 100000), (1_077_871, 968_993)),
+    (0, 8_388_617, Fraction(1, 2), (564_164, 564_162)),  # 2 in the first chunk, hi a prime
+    (PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2), (403_337, 403_336)),
+]
+
+
+@pytest.mark.parametrize("segment", [1 << 24, 1 << 20], ids=["one-segment", "segments"])
+@pytest.mark.parametrize("lo, hi, gamma, counts", CHUNKED, ids=["small-gamma", "holds-2", "grid-point"])
+def test_forked_chunks_count_what_one_process_counts(lo, hi, gamma, counts, segment):
+    """With 2^20-number segments, each chunk holds several, so its first
+    and last prime lie in different segments."""
+    with mock.patch.object(census, "_SEGMENT", segment):
+        with on_cpus(1), mock.patch.object(os, "fork") as fork:
+            alone = census.census_pairs(lo, hi, gamma)
+        assert fork.call_count == 0  # a process on one CPU forks nothing
+        with on_cpus(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            forked = census.census_pairs(lo, hi, gamma)
+    assert fork.call_count == 1
+    assert forked == alone
+    assert (alone.prime_count, alone.pair_count) == counts
+    assert_no_child_left()
+
+
+def test_a_chunk_boundary_between_the_primes_of_a_pair():
+    """q, the first number of the second of two chunks, and p, the last
+    prime of the first, are consecutive primes."""
+    p, q = sieve_range((1 << 30) + 12345, (1 << 30) + 12345 + 400)[:2]
+    lo = q - census._MIN_CHUNK
+    hi = lo + 2 * census._MIN_CHUNK - 1
+    below, above = bracket(p, q)
+    reports = []
+    for gamma in (below, above):
+        with on_cpus(1):
+            alone = census.census_pairs(lo, hi, gamma)
+        with on_cpus(2):
+            assert census.census_pairs(lo, hi, gamma) == alone
+        reports.append(alone)
+    assert reports[1].pair_count - reports[0].pair_count == 1
+    assert reports[0].pair_count == loop_pairs(lo, hi, below)
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_chunk_no_child_can_take_is_counted_in_process(call):
+    lo, hi, gamma = PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2)
+    with on_cpus(1):
+        alone = census.census_pairs(lo, hi, gamma)
+    fds = os.listdir("/proc/self/fd")
+    refused = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    with on_cpus(2), mock.patch.object(os, call, side_effect=refused) as failing:
+        assert census.census_pairs(lo, hi, gamma) == alone
+    assert failing.call_count == 1
+    assert os.listdir("/proc/self/fd") == fds
+    assert_no_child_left()
+
+
+def test_a_failing_child_ends_the_census_with_exit_1(capsys):
+    parent, real = os.getpid(), census._chunk_counts
+
+    def chunk_counts(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real(*args)
+
+    fds = os.listdir("/proc/self/fd")
+    with on_cpus(2), mock.patch.object(census, "_chunk_counts", chunk_counts):
+        with pytest.raises(ProxRsaError, match=r"failed in child \d+: exit 1, read 0 bytes"):
+            census.census_pairs(PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2))
+        assert_no_child_left()
+        code = cli.main(["census", "--lo", str(PLAIN_LO), "--hi", str(PLAIN_LO + (1 << 23)), "--gamma", "1/2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: census of [") and err.count("\n") == 1
+    assert os.listdir("/proc/self/fd") == fds
+    assert_no_child_left()
+
+
+def test_an_interrupted_census_kills_and_reaps_its_children(wall_clock):
+    """The parent is interrupted while counting its own chunk and a child
+    would still run for a minute: the call ends at once, with no child left."""
+    parent = os.getpid()
+
+    def chunk_counts(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    with wall_clock(10), on_cpus(2), mock.patch.object(census, "_chunk_counts", chunk_counts):
+        with pytest.raises(KeyboardInterrupt):
+            census.census_pairs(PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2))
+    assert_no_child_left()
+
+
+def test_one_process_where_the_platform_cannot_count_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    with mock.patch.object(os, "fork") as fork:
+        report = census.census_pairs(PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2))
+    assert fork.call_count == 0
+    assert (report.prime_count, report.pair_count) == CHUNKED[-1][-1]

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import pathlib
@@ -441,6 +442,33 @@ def test_out_to_a_fifo_writes_into_it(tmp_path, capsys, wall_clock):
     finally:
         os.close(reader)
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.parametrize("command", ["keygen", "census"])
+def test_out_into_a_missing_directory_names_the_path_given(command, tmp_path, capsys):
+    """The error named the temporary file, a name the user never gave."""
+    out = tmp_path / "missing" / "out.json"
+    census = ["census", "--lo", "2", "--hi", "20", "--gamma", "1/2", "-o", str(out)]
+    code, _, err = run(capsys, *(keygen_args(out) if command == "keygen" else census))
+    assert code == cli.EXIT_IO
+    assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+    assert "missing/out.json" in err and ".tmp-" not in err
+
+
+@pytest.mark.parametrize(
+    "gamma", ["\u0661/\u0662", "1_0/2_0", "+1/2", " 1/2"], ids=["arabic-indic", "underscores", "plus", "space"]
+)
+@pytest.mark.parametrize("command", ["keygen", "census"])
+def test_gamma_flags_take_the_key_file_syntax(command, gamma, tmp_path, capsys):
+    """int() read each of these as 1/2; a key file's gamma must match
+    [0-9]+/[0-9]+, and so must the flag."""
+    keygen = ["keygen", "--k", "64", "--gamma", gamma, "--seed", ZEROS, "--insecure-small"]
+    keygen += ["-o", str(tmp_path / "k.json")]
+    census = ["census", "--lo", "2", "--hi", "20", "--gamma", gamma]
+    code, out, err = run(capsys, *(keygen if command == "keygen" else census))
+    assert code == cli.EXIT_BAD_PARAMS
+    assert out == "" and err.startswith("error: gamma must be 'num/den'")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_census_loads_neither_numpy_nor_mpmath(cli_probe):
