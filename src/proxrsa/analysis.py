@@ -33,11 +33,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import reals
+from . import reals, validate
 from .entropy import h2_estimate
 from .errors import NumericalError, ParameterError
 from .keyfile import KeyPair
-from .numerics import is_probable_prime
 
 # Working precision of the quantum estimates, in bits.
 BITS = 96
@@ -100,7 +99,7 @@ def angular_separation(p: int, q: int) -> Fraction:
     if p == q:
         raise ParameterError("primes must be distinct")
     for v in (p, q):
-        if not is_probable_prime(v, 32):
+        if not validate._probably_prime(v):
             raise ParameterError(f"{v} is not prime")
     g = math.gcd(p - 1, q - 1)
     return Fraction(g, (p - 1) * (q - 1))

@@ -2,12 +2,18 @@
 
 Re-derives every invariant from the raw integers of a key record.  The
 checks here neither call nor import keygen, numerics or entropy (the
-record itself comes from keyfile): the primality test uses fixed prime
-bases instead of per-candidate streams, exponent and proximity checks are
-exact integer comparisons written out inline, and the entropy budget is
-decided exactly from its own closed form: decimal brackets of the
-threshold, compared in integers against the primes.  A bug in the
-generation path therefore cannot hide itself.
+record itself comes from keyfile): the primality test is Baillie-PSW
+instead of the generator's seeded Miller-Rabin rounds, exponent and
+proximity checks are exact integer comparisons written out inline, and
+the entropy budget is decided exactly from its own closed form: decimal
+brackets of the threshold, compared in integers against the primes.  A
+bug in the generation path therefore cannot hide itself.
+
+No RSA round trip is run: it is implied by the other checks.  When every
+listed prime is prime, the primes are distinct, N is their product and
+e*d = 1 (mod phi), then m^(e*d) = m modulo each prime for every m
+(Fermat), hence modulo N (CRT).  A repeated prime is the one fault a
+round trip would catch beyond those checks, so it is checked directly.
 """
 
 from __future__ import annotations
@@ -21,46 +27,78 @@ from typing import Optional
 from .errors import NumericalError
 from .keyfile import KeyPair
 
-_VALIDATOR_BASES = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
-    149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
-    227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
-    307, 311,
-]
-
-_ROUNDTRIP_MESSAGES = [2, 3, 5, 42, 1234567]
-
 # The largest k a key may state: keygen's ceiling, declared apart because
 # the validator imports no generator code.
 _MAX_K = 8192
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
 
 def _probably_prime(n: int) -> bool:
-    """Miller-Rabin over 64 fixed prime bases (independent of the generator's test)."""
+    """Baillie-PSW (Baillie & Wagstaff, Math. Comp. 35, 1980), independent
+    of the generator's test: trial division by the primes up to 47, one
+    strong Miller-Rabin round to base 2, then a strong Lucas test with
+    Selfridge's parameters.  No composite is known to pass it.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi (D/n) = -1, and
+    P = 1, Q = (1 - D)/4.  That search ends because n is odd and not a
+    square (the square check comes first): some D then has (D/n) = -1.
+    """
     if n < 2:
         return False
-    for b in _VALIDATOR_BASES:
-        if n == b:
-            return True
-        if n % b == 0:
-            return False
-    d = n - 1
-    s = 0
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _VALIDATOR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    if x != 1 and x != n - 1:
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    if math.isqrt(n) ** 2 == n:
+        return False
+    disc = 5
+    while _jacobi(disc, n) != -1:
+        disc = -disc - 2 if disc > 0 else -disc + 2
+    q = (1 - disc) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    half = (n + 1) // 2  # 1/2 mod n
+    # U_k, V_k and Q^k for the leading bits k of d, with P = 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (disc * u + v) * half % n, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _pairwise_proximity_ok(primes: list[int], gamma: Fraction) -> bool:
@@ -185,6 +223,8 @@ def validate_key(key: KeyPair) -> list[str]:
     phi = math.prod(p - 1 for p in primes)
     if math.prod(primes) != n:
         failures.append("N != product of primes")
+    if len(set(primes)) != len(primes) or (inner and len(set(inner)) != len(inner)):
+        failures.append("listed primes are not distinct")
     for p in primes:
         if not _probably_prime(p):
             failures.append(f"composite prime entry {p}")
@@ -244,9 +284,6 @@ def validate_key(key: KeyPair) -> list[str]:
             elif not _entropy_constraint_ok(inner[0], inner[1], gamma, beta):
                 failures.append("inner pair violates entropy budget")
             failures.extend(_compatible_outer_failures(primes, inner, n, k))
-
-    for msg in _roundtrip_failures(n, e, d):
-        failures.append(msg)
     return failures
 
 
@@ -266,12 +303,3 @@ def _compatible_outer_failures(primes: list[int], inner: list[int], n: int, k: i
     if gap**4 <= n:
         out.append("outer gap within Fermat-factoring reach (|p'-q'|^4 <= N)")
     return out
-
-
-def _roundtrip_failures(n: int, e: int, d: int) -> list[str]:
-    for msg in _ROUNDTRIP_MESSAGES:
-        if msg >= n:
-            continue
-        if pow(pow(msg, e, n), d, n) != msg:
-            return [f"RSA roundtrip failed for message {msg}"]
-    return []

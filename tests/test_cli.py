@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import pathlib
 import stat
@@ -538,7 +539,8 @@ def test_commands_load_only_their_own_modules(tmp_path, cli_probe):
     _, report = cli_probe([["analyze", str(key), "-o", str(tmp_path / "report.json")]])
     assert report["codes"] == [cli.EXIT_OK]
     assert "proxrsa.analysis" in report["modules"]
-    assert not {"proxrsa.keygen", "proxrsa.validate", "proxrsa.shor_sim", "proxrsa.census"} & set(report["modules"])
+    # analyze tests primality with the validator's test, which imports no generator code
+    assert not {"proxrsa.keygen", "proxrsa.shor_sim", "proxrsa.census"} & set(report["modules"])
 
 
 def test_shor_sim_sweep(capsys):
@@ -1094,3 +1096,34 @@ def test_verify_rejects_a_multiprime_key_labelled_standard(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(key))
     assert code == cli.EXIT_VERIFY_FAILED
     assert "FAIL: standard key must hold exactly two primes" in err.splitlines()
+
+
+# A strong pseudoprime to every prime base up to 41 (Jaeschke, 1993)
+PSP_41 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize(
+    "name, field, edit, failure",
+    [
+        ("keygen-k512-seed00.json", "primes", lambda p: [PSP_41, p[1]], f"composite prime entry {PSP_41}"),
+        ("keygen-k512-seed00.json", "primes", lambda p: [p[0], p[0]], "listed primes are not distinct"),
+        ("keygen-compat-shift40-k512-seed00.json", "inner_primes", lambda p: [p[0], p[0]],
+         "listed primes are not distinct"),
+    ],
+    ids=["pseudoprime", "p-equals-q", "equal-inner-primes"],
+)
+def test_verify_fails_a_key_with_a_bad_prime_list(name, field, edit, failure, tmp_path, capsys):
+    """Each edit keeps N the product of the primes and e*d = 1 (mod phi),
+    so only the primality or distinctness check can catch it."""
+    doc = json.loads((DATA / "keys" / name).read_text())
+    primes = edit([int(p, 16) for p in doc[field]])
+    doc[field] = [hex(p) for p in primes]
+    if field == "primes":
+        doc["N"] = hex(math.prod(primes))
+        doc["d"] = hex(pow(int(doc["e"], 16), -1, math.prod(p - 1 for p in primes)))
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(key))
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert f"FAIL: {failure}" in err.splitlines()
+    assert not any("e*d" in line or "N !=" in line for line in err.splitlines())

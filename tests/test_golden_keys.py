@@ -9,6 +9,9 @@ bound.  The small keys (k = 64 to 256) have gaps in the band where the
 192-bit rounding of the entropy report sets its digits, so their reports
 are neither "1.0" nor "0.0".
 
+Every golden key passes the validator, and `verify` on each key of
+k >= 2048 runs under a one-second bound.
+
 tests/data/reports/ holds `proxrsa analyze NAME -o ...` of each key, run
 from tests/data/keys/ (plus two with `--kappa 0.5 --eps-param 0.01`).
 
@@ -79,6 +82,20 @@ def test_golden_key_bytes(name, variant, k, seed_byte, gamma, extra, bound, wall
     data = keyfile.document_to_bytes(keyfile.keypair_to_document(kp))
     assert data == (KEYS / name).read_bytes()
     assert keyfile.read_key_file(KEYS / name) == kp
+
+
+@pytest.mark.parametrize("name", [c[0] for c in GOLDEN], ids=[c[0][:-5] for c in GOLDEN])
+def test_golden_key_passes_the_validator(name):
+    assert validate.validate_key(keyfile.read_key_file(KEYS / name)) == []
+
+
+@pytest.mark.parametrize(
+    "name", [c[0] for c in GOLDEN if c[2] >= 2048], ids=[c[0][:-5] for c in GOLDEN if c[2] >= 2048]
+)
+def test_verify_takes_under_a_second_at_real_sizes(name, monkeypatch, wall_clock):
+    monkeypatch.chdir(KEYS)
+    with wall_clock(1):
+        assert cli.main(["verify", name]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in REPORTS.glob("*.json")))

@@ -1,14 +1,63 @@
-"""The validator's entropy budget, decided exactly, against mpmath oracles."""
+"""The validator's own checks: its Baillie-PSW primality test against the
+sieve and known pseudoprimes, and its entropy budget, decided exactly,
+against mpmath oracles."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from proxrsa import validate
+from proxrsa import numerics, validate
 from proxrsa.errors import NumericalError
+
+KEYS = Path(__file__).parent / "data" / "keys"
+GOLDEN_PRIMES = sorted({
+    int(p, 16)
+    for path in KEYS.glob("*.json")
+    for field in ("primes", "inner_primes")
+    for p in json.loads(path.read_text())[field] or []
+})
+
+
+def test_primality_agrees_with_the_sieve_below_200000():
+    primes = set(numerics.sieve_range(0, 200_000))
+    assert [n for n in range(200_000) if validate._probably_prime(n) != (n in primes)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2047, 3277, 4033, 4681, 8321,  # strong pseudoprimes to base 2
+        5459, 5777, 10877, 16109, 18971,  # strong Lucas pseudoprimes
+        561, 1105, 41041,  # Carmichael numbers
+        3317044064679887385961981,  # strong pseudoprime to every prime base up to 41
+        1009**2, (2**61 - 1) ** 2,  # squares
+        1093**2, 3511**2,  # squares of Wieferich primes: strong pseudoprimes to base 2
+        2**523 - 1, (2**521 - 1) * (2**127 - 1),
+    ],
+    ids=lambda n: str(n) if n < 10**30 else f"{n.bit_length()}-bit",
+)
+def test_primality_rejects_composites(n, wall_clock):
+    # a square that passed base 2 would never end the search for D
+    with wall_clock(5):
+        assert not validate._probably_prime(n)
+
+
+def test_primality_accepts_primes():
+    small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    for n in [*small, 2**521 - 1, 2**607 - 1, *GOLDEN_PRIMES]:
+        assert validate._probably_prime(n), n
+
+
+def test_primality_of_a_1536_bit_prime_takes_under_a_second(wall_clock):
+    prime = max(GOLDEN_PRIMES)
+    assert prime.bit_length() == 1536
+    with wall_clock(1):
+        assert validate._probably_prime(prime)
 
 
 def budget_holds_192(p, q, gamma, beta):
