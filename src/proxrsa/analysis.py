@@ -144,7 +144,7 @@ def complexity_report(
         k = n.bit_length()
     if k < 1:
         raise ParameterError(f"k must be >= 1: {k}")
-    g = reals.div(reals.binary(gamma.numerator, BITS), reals.binary(gamma.denominator, BITS), BITS)
+    g = reals.binary(gamma, BITS)
     fano = None
     if kappa is None and eps_param is not None:
         raise ParameterError("fano bound needs kappa with eps_param")
@@ -153,9 +153,7 @@ def complexity_report(
             raise ParameterError("fano bound needs a positive kappa and eps_param")
         if not (math.isfinite(kappa) and math.isfinite(eps_param)):
             raise ParameterError("fano bound needs a finite kappa and eps_param")
-        # mp.log(k, 2): ln k over ln 2, both at BITS + 20 bits
-        exact_k = reals.binary(k, k.bit_length())
-        log2_k = reals.div(reals.ln(exact_k, BITS + 20), reals.ln((1, 1), BITS + 20), BITS)
+        log2_k = reals.log2(reals.binary(k, k.bit_length()), BITS)  # k held exactly
         kappa_k = reals.mul(reals.binary(kappa, BITS), (k, 0), BITS)
         fano = reals.div(reals.mul(kappa_k, log2_k, BITS), reals.binary(eps_param, BITS), BITS)
     separation = angular_separation(p, q)

@@ -24,9 +24,10 @@ in-process.
 For fixed p the predicate holds exactly for 0 < q - p <= G(p), and the
 threshold gap G(p) is an integer square root away (_max_gap_of), never
 falling as p grows.  So neither census tests pairs one by one.
-census_pairs counts primes with mask.count(1) and counts the failing
-pairs (each chunk its own, and the parent the pair across each chunk
-boundary): a pair fails when at least G(p)//2 zero bytes follow p, so
+census_pairs counts primes with mask.count(1) and failing pairs per
+segment; one fold (_joined) sums segments, then chunks, deciding the pair
+across each boundary and passing over a part with no prime, wherever
+primes lie.  A pair fails when at least G(p)//2 zero bytes follow p, so
 mask.find jumps to the next such run for the current G//2, and when it
 follows the current prime, one mask.count counts every such run up to
 where G//2 rises (found by bisection).  census_progression reads each
@@ -146,25 +147,32 @@ def _report(lo: int, hi: int, gamma: Fraction, prime_count: int, pair_count: int
     )
 
 
-def _chunk_counts(lo: int, hi: int, gamma: Fraction, base: list[int]) -> array:
+def _joined(parts, gamma: Fraction) -> array:
     """array('q', [primes, failing consecutive pairs, first prime, last
-    prime]) of [lo, hi], with 0 for a prime that does not exist."""
+    prime]) of adjoining ranges from those of each, in range order; decides
+    the pair across each boundary and passes over a part with no prime."""
+    primes = failures = first = last = 0
+    for count, fails, start, end in parts:
+        if count:
+            failures += fails + (last and not _proximate(last, start, gamma))
+            primes, first, last = primes + count, first or start, end
+    return array("q", [primes, failures, first, last])
+
+
+def _chunk_counts(lo: int, hi: int, gamma: Fraction, base: list[int]) -> array:
+    """_joined counts of [lo, hi]: one part per segment, and 2 one of its
+    own, as the masks hold odd numbers only."""
     max_gap = _max_gap_of(gamma)
-    first = prev = 2 if lo <= 2 <= hi else 0  # the masks hold odd numbers only
-    prime_count = 1 if prev else 0
-    failures = 0
+    parts = [(1, 0, 2, 2)] if lo <= 2 <= hi else []
     for odd, mask, needles in _segments(lo, hi, base):
-        i = mask.find(1)
+        i, last = mask.find(1), mask.rfind(1)
         if i < 0:
             continue
-        if prev and not _proximate(prev, odd + 2 * i, gamma):
-            failures += 1
-        first = first or odd + 2 * i
+        first, failures = odd + 2 * i, 0
         # The pair from the prime p = odd + 2*i fails when G(p)//2 zero bytes
         # and then a prime follow mask[i].  G never falls as p grows, so a
         # run after a later prime moves i there, and a run after mask[i]
         # opens a stretch of equal G//2 whose runs all fail.
-        last = mask.rfind(1)
         while (run := max_gap(odd + 2 * i) // 2) < last - i:
             needle = needles[: run + 1]
             hit = mask.find(needle, i, last + run)
@@ -174,9 +182,8 @@ def _chunk_counts(lo: int, hi: int, gamma: Fraction, base: list[int]) -> array:
             elif hit < 0:
                 break
             i = hit
-        prime_count += mask.count(1)
-        prev = odd + 2 * last
-    return array("q", [prime_count, failures, first, prev])
+        parts.append((mask.count(1), failures, first, odd + 2 * last))
+    return _joined(parts, gamma)
 
 
 def _count_chunks(chunks: list, gamma: Fraction, base: list[int]) -> list:
@@ -236,15 +243,7 @@ def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
     workers = max(1, min(cpus, (hi - lo + 1) // _MIN_CHUNK))
     edges = [lo + (hi - lo + 1) * w // workers for w in range(workers + 1)]
     chunks = [(start, end - 1) for start, end in zip(edges, edges[1:])]
-    # With two chunks or more, each spans 2^22 numbers or more and so holds
-    # a prime: no prime gap below 2^40 comes near that.
-    prime_count = failures = prev = 0
-    for primes, fails, first, last in _count_chunks(chunks, gamma, base):
-        prime_count += primes
-        failures += fails
-        if prev and not _proximate(prev, first, gamma):
-            failures += 1
-        prev = last
+    prime_count, failures, _, _ = _joined(_count_chunks(chunks, gamma, base), gamma)
     pair_count = max(prime_count - 1, 0) - failures
     return _report(lo, hi, gamma, prime_count, pair_count)
 

@@ -10,14 +10,12 @@ and the collision entropy estimate H2 = -log2(purity).  The closed-form
 cap used for comparison is 2*log2(1 + gamma/2), and log2(m) more for an
 m-prime modulus.
 
-All entropies are in bits (base-2 logarithms).  Reals are binary floating
-point of PRECISION_BITS bits, well above the 128-bit floor the reports
-promise, replayed on integers by proxrsa.reals: every step rounds as the
-mpmath computation these reports were first made with did (an int
-rounded to 192 bits, a correctly rounded +, -, *, / or square root, and
-log2 as ln at 212 bits over ln 2 at 212 bits).  So the report strings and
-the generator's H2 < budget gate are those of that computation.  The
-public functions take an int, float or Fraction and return the exact
+All entropies are in bits (base-2 logarithms).  This module states the
+model and rounds every step through proxrsa.reals at PRECISION_BITS bits,
+well above the 128-bit floor the reports promise, as the mpmath run these
+reports were first made with did, so the report strings and the
+generator's H2 < budget gate are that run's.  The public functions take an
+int, float or Fraction (rounded by reals.binary) and return the exact
 binary value as a Fraction.  proximity_holds_exact (from numerics) decides
 proximity against a rational gamma in exact integer arithmetic.
 """
@@ -37,23 +35,9 @@ PRECISION_BITS = 192
 Real = Union[int, float, Fraction]
 
 
-def _bin(x: Real) -> tuple[int, int]:
-    """x at PRECISION_BITS; a Fraction as its rounded numerator over its
-    rounded denominator."""
-    if isinstance(x, Fraction):
-        num, den = (reals.binary(v, PRECISION_BITS) for v in (x.numerator, x.denominator))
-        return reals.div(num, den, PRECISION_BITS)
-    return reals.binary(x, PRECISION_BITS)
-
-
 def _fraction(x: tuple[int, int]) -> Fraction:
     man, exp = x
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _log2(x: tuple[int, int]) -> tuple[int, int]:
-    wide = PRECISION_BITS + 20
-    return reals.div(reals.ln(x, wide), reals.ln((1, 1), wide), PRECISION_BITS)
 
 
 class EntropyReport(NamedTuple):
@@ -107,8 +91,8 @@ def _purity(d: tuple[int, int]) -> tuple[int, int]:
     return man, exp - 1
 
 
-def _h2(d: tuple[int, int]) -> tuple[int, int]:
-    man, exp = _log2(_purity(d))
+def _h2(purity: tuple[int, int]) -> tuple[int, int]:
+    man, exp = reals.log2(purity, PRECISION_BITS)
     return -man, exp
 
 
@@ -119,25 +103,25 @@ def proximity_delta(p: int, q: int) -> Fraction:
 
 def purity_lower(delta: Real) -> Fraction:
     """Two-eigenvalue purity floor (1 + sqrt(1 - 4d^2/(2+d)^2)) / 2 on [0, 2]."""
-    return _fraction(_purity(_bin(delta)))
+    return _fraction(_purity(reals.binary(delta, PRECISION_BITS)))
 
 
 def h2_from_delta(delta: Real) -> Fraction:
     """Collision entropy -log2(purity) of the two-eigenvalue model, in bits."""
-    return _fraction(_h2(_bin(delta)))
+    return _fraction(_h2(_purity(reals.binary(delta, PRECISION_BITS))))
 
 
 def h2_estimate(p: int, q: int) -> Fraction:
     """Modeled collision entropy of the pair (p, q), in bits."""
-    return _fraction(_h2(_delta(p, q)))
+    return _fraction(_h2(_purity(_delta(p, q))))
 
 
 @lru_cache(maxsize=64)
 def _cap(gamma: Real) -> tuple[int, int]:
-    g = _bin(gamma)
+    g = reals.binary(gamma, PRECISION_BITS)
     if g[0] < 0:
         raise ParameterError("gamma must be non-negative")
-    man, exp = _log2(reals.add((1, 0), (g[0], g[1] - 1), PRECISION_BITS))
+    man, exp = reals.log2(reals.add((1, 0), (g[0], g[1] - 1), PRECISION_BITS), PRECISION_BITS)
     return man, exp + 1
 
 
@@ -150,15 +134,16 @@ def multiprime_h2_bound(m: int, gamma: Real) -> Fraction:
     """Entropy cap log2(m) + 2*log2(1 + gamma/2) for an m-prime modulus."""
     if m < 2:
         raise ParameterError("m must be >= 2")
-    log_m = _log2(reals.binary(m, PRECISION_BITS))
+    log_m = reals.log2(reals.binary(m, PRECISION_BITS), PRECISION_BITS)
     return _fraction(reals.add(log_m, _cap(gamma), PRECISION_BITS))
 
 
 @lru_cache(maxsize=64)
 def _budget(gamma: Fraction, beta: float) -> tuple[int, int]:
     """Generation threshold beta * log2(1/gamma)."""
-    inverse = reals.div((1, 0), _bin(gamma), PRECISION_BITS)
-    return reals.mul(_bin(beta), _log2(inverse), PRECISION_BITS)
+    bits = PRECISION_BITS
+    inverse = reals.div((1, 0), reals.binary(gamma, bits), bits)
+    return reals.mul(reals.binary(beta, bits), reals.log2(inverse, bits), bits)
 
 
 def entropy_budget(gamma: Fraction, beta: float) -> Fraction:
@@ -184,8 +169,7 @@ def check_entropy_constraint(
     delta = _delta(p, q)
     prox_ok = proximity_holds_exact(p, q, gamma)
     purity = _purity(delta)
-    man, exp = _log2(purity)
-    h2 = _fraction((-man, exp))
+    h2 = _fraction(_h2(purity))
     budget = entropy_budget(gamma, beta)
     ok = prox_ok and h2 < budget
     report = EntropyReport(

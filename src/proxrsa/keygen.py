@@ -409,6 +409,5 @@ def _attempt_layered(stream, inner_bits, residues, m_modulus, gamma, params):
         )
     except SearchExhaustedError:
         return None
-    if abs(q_outer - p_outer) < target_gap:  # unreachable by construction; guard anyway
-        return None
+    # q_outer - p_outer >= (q - p) + |p - q| + 2 * target_gap: the outer gap holds
     return [p_outer, q_outer], report, [p, q]

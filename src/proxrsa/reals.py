@@ -9,14 +9,17 @@ odd or zero; zero is (0, 0).
 mpmath rounds +, -, *, / and the square root correctly, half to even,
 so rnd() of the exact result is the same value.  ln() and exp() round
 the correctly rounded result of decimal's ln and exp, at more digits
-until the rounding is decided.  to_str(x, dps) is mpmath's to_str, so
-nstr(x, dps) of the same value prints the same string.
+until the rounding is decided.  Both reports round a Fraction by binary()
+(both ends, then the quotient) and take log2() as ln x over ln 2, each
+20 bits wider.  to_str(x, dps) is mpmath's to_str, so nstr(x, dps) of
+the same value prints the same string.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -38,7 +41,10 @@ def rnd(num: int, den: int, exp: int, p: int, mode: int = 0) -> tuple[int, int]:
 
 
 def binary(x, p: int) -> tuple[int, int]:
-    """An int or float rounded to p bits, as mpf(x) rounds it."""
+    """An int or float rounded to p bits, as mpf(x) rounds it; a Fraction
+    as mpf(num) / mpf(den) rounds it: both ends to p bits, then the quotient."""
+    if isinstance(x, Fraction):
+        return div(binary(x.numerator, p), binary(x.denominator, p), p)
     num, den = x.as_integer_ratio()
     return rnd(num, den, 0, p)
 
@@ -121,6 +127,11 @@ def ln(x, p):
         return rnd(x[1] * _ln_fixed(2, p + 20), 1, -p - 20, p)
     arg = _dec(x)
     return _decided(lambda ctx: (ctx.ln(arg), 0), p)
+
+
+def log2(x, p):
+    """mp.log(x, 2) at p bits: ln x over ln 2, each at p + 20 bits."""
+    return div(ln(x, p + 20), ln((1, 1), p + 20), p)
 
 
 def exp(x, p):

@@ -377,6 +377,21 @@ def test_a_chunk_boundary_between_the_primes_of_a_pair():
     assert reports[0].pair_count == loop_pairs(lo, hi, below)
 
 
+def test_chunks_that_hold_no_prime_are_passed_over():
+    """With 8-number chunks over [1320, 1370], the two chunks between the
+    consecutive primes 1327 and 1361 hold none: their pair spans three
+    chunk boundaries and is decided once, fails at gamma = 1/100 and
+    passes at 1/2."""
+    lo, hi = 1320, 1370
+    with mock.patch.object(census, "_MIN_CHUNK", 8), on_cpus(4):
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            for gamma in (Fraction(1, 2), Fraction(1, 100)):
+                report = census.census_pairs(lo, hi, gamma)
+                assert (report.prime_count, report.pair_count) == (4, loop_pairs(lo, hi, gamma))
+    assert fork.call_count == 6  # three children per census: four chunks
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("call", ["fork", "pipe"])
 def test_a_chunk_no_child_can_take_is_counted_in_process(call):
     lo, hi, gamma = PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2)

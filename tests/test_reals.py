@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -79,6 +79,40 @@ def test_arithmetic_is_mpmaths(x, y, prec):
         assert reals.sqrt((abs(yr[0]), yr[1]), prec) == pair(mp.sqrt(abs(b)))
     assert reals.div(x, y, prec, -1) == pair(mpf_div(raw(x), raw(y), prec, round_down))
     assert reals.div(x, y, prec, 1) == pair(mpf_div(raw(x), raw(y), prec, round_up))
+
+
+TWICE_ROUNDED = Fraction((1 << 59) + 191, (1 << 57) - 168)
+
+
+@given(st.integers(-(1 << 400), 1 << 400), st.integers(1, 1 << 400), st.sampled_from([53, 96, 192]))
+@example(TWICE_ROUNDED.numerator, TWICE_ROUNDED.denominator, 53)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_fraction_rounds_as_mpmaths_quotient(a, b, prec):
+    x = Fraction(a, b)
+    with mp.workprec(prec):
+        assert reals.binary(x, prec) == pair(mpf(x.numerator) / mpf(x.denominator))
+
+
+def test_a_fraction_is_rounded_twice_not_correctly():
+    """Both ends rounded to 53 bits, then the quotient: the last bit of
+    TWICE_ROUNDED differs from that of the quotient rounded once."""
+    x = TWICE_ROUNDED
+    assert reals.binary(x, 53) != reals.rnd(x.numerator, x.denominator, 0, 53)
+
+
+@given(binaries, st.sampled_from([96, 192]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_log2_is_mpmaths(x, prec):
+    x = reals.rnd(abs(x[0]), 1, x[1], prec)
+    with mp.workprec(prec):
+        assert reals.log2(x, prec) == pair(mp.log(mpf(raw(x)), 2))
+
+
+@pytest.mark.parametrize("exp", [-5, -1, 0, 1, 2, 11, 3000])
+def test_log2_of_a_power_of_two_is_mpmaths(exp):
+    for prec in (96, 192):
+        with mp.workprec(prec):
+            assert reals.log2((1, exp), prec) == pair(mp.log(mpf(raw((1, exp))), 2))
 
 
 @given(binaries, PRECISIONS)
