@@ -318,6 +318,11 @@ def _attempt_pair(stream, bits, residues, m_modulus, gamma, params):
         ok, report = check_entropy_constraint(p, q, gamma, params.beta)
         if ok:
             return [p, q], report, None
+        # Later partners are no closer to p and lie below 2p, so their delta
+        # exceeds sqrt(2)*|p - q|/(2p): by _generate's floor argument, none
+        # meets a budget at or below H2(|p - q|/(2p)).
+        if h2_from_delta(Fraction(abs(p - q), 2 * p)) >= entropy_budget(gamma, params.beta):
+            return None
     return None
 
 

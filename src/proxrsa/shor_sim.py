@@ -107,9 +107,9 @@ def group_summary(rows: list[ComparisonRow]) -> dict:
 def multiplicative_order(a: int, n: int) -> int:
     """Smallest r >= 1 with a^r == 1 (mod n).
 
-    The order divides the Carmichael exponent lambda(n), so it is lambda(n)
-    with every prime factor l removed while a^(r/l) == 1 (Cohen, A Course
-    in Computational Algebraic Number Theory, Alg. 1.4.3).
+    r starts at phi(n), a multiple of the order, and loses each prime
+    factor l while a^(r/l) == 1, which ends at the order itself (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 1.4.3).
     """
     if n < 2 or n > MAX_TOY_MODULUS:
         raise ParameterError(f"modulus must lie in [2, 2^{_MAX_TOY_BITS}]: {n}")
@@ -117,27 +117,11 @@ def multiplicative_order(a: int, n: int) -> int:
         raise ParameterError(f"base must satisfy 1 <= a < n: {a}")
     if math.gcd(a, n) != 1:
         raise ParameterError(f"gcd({a}, {n}) != 1")
-    r = _carmichael(n)
+    r = euler_phi(n)
     for ell in prime_factors(r):
         while r % ell == 0 and pow(a, r // ell, n) == 1:
             r //= ell
     return r
-
-
-def _carmichael(n: int) -> int:
-    """Carmichael's lambda(n): the lcm of lambda(p^k) over the prime powers of n."""
-    lam = 1
-    for p in prime_factors(n):
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if p == 2:
-            part = 1 << (k - 2 if k >= 3 else k - 1)  # 1, 2, then 2^(k-2)
-        else:
-            part = p ** (k - 1) * (p - 1)
-        lam = math.lcm(lam, part)
-    return lam
 
 
 def default_q(n: int) -> int:

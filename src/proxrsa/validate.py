@@ -7,7 +7,8 @@ instead of the generator's seeded Miller-Rabin rounds, exponent and
 proximity checks are exact integer comparisons written out inline, and
 the entropy budget is decided exactly from its own closed form: decimal
 brackets of the threshold, compared in integers against the primes.  A
-bug in the generation path therefore cannot hide itself.
+bug in the generation path therefore cannot hide itself.  Every variant
+runs one path of checks; _SHAPES states the little in which they differ.
 
 No RSA round trip is run: it is implied by the other checks.  When every
 listed prime is prime, the primes are distinct, N is their product and
@@ -194,31 +195,37 @@ def _primorial_factors(m: int) -> Optional[list[int]]:
     return factors
 
 
+# Each variant's shape: its prime-count rule, whether it is layered (lists an
+# inner pair, which its bounds then hold on instead of its primes), the label
+# and proximity rule of that bound list, and whether the entropy gate applies.
+_SHAPES = {
+    "standard": ("exactly two", False, "prime pair", "exact proximity bound", True),
+    "multiprime": ("at least three", False, "prime cluster", "exact pairwise proximity", False),
+    "compatible": ("exactly two", True, "inner pair", "exact proximity bound", True),
+}
+_COUNT_RULES = {"exactly two": lambda count: count == 2, "at least three": lambda count: count >= 3}
+
+
 def validate_key(key: KeyPair) -> list[str]:
     """All violated invariants of a key, empty when the key is valid."""
-    variant = key.variant
-    n, e, d = key.n, key.e, key.d
-    primes = list(key.primes)
-    m_modulus = key.m_modulus
-    residues = list(key.residues)
+    variant, n, e, d = key.variant, key.n, key.e, key.d
+    primes, m_modulus, residues = list(key.primes), key.m_modulus, list(key.residues)
     inner = list(key.inner_primes) if key.inner_primes else None
     gamma, beta, k = key.gamma, key.beta, key.k
 
-    failures: list[str] = []
-
-    if variant not in ("standard", "multiprime", "compatible"):
-        failures.append(f"unknown variant {variant!r}")
-        return failures
-    if variant == "compatible" and not inner:
-        failures.append("compatible key is missing inner primes")
-        return failures
+    if variant not in _SHAPES:
+        return [f"unknown variant {variant!r}"]
+    count_rule, layered, label, proximity_rule, entropy_gated = _SHAPES[variant]
+    if layered and not inner:
+        return [f"{variant} key is missing inner primes"]
     if len(primes) < 2 or (inner is not None and len(inner) < 2):
-        failures.append("fewer than two primes (or inner primes) listed")
-        return failures
-    if variant == "standard" and len(primes) != 2:
-        failures.append("standard key must hold exactly two primes")
-    if variant == "multiprime" and len(primes) < 3:
-        failures.append("multiprime key must hold at least three primes")
+        return ["fewer than two primes (or inner primes) listed"]
+    failures: list[str] = []
+    if inner and not layered:
+        failures.append(f"{variant} key lists inner primes")
+    bound = inner if layered else primes
+    if not all(_COUNT_RULES[count_rule](len(listed)) for listed in (primes, bound)):
+        failures.append(f"{variant} key must hold {count_rule} primes")
 
     phi = math.prod(p - 1 for p in primes)
     if math.prod(primes) != n:
@@ -228,11 +235,12 @@ def validate_key(key: KeyPair) -> list[str]:
     for p in primes:
         if not _probably_prime(p):
             failures.append(f"composite prime entry {p}")
-    if inner:
-        for p in inner:
-            if not _probably_prime(p):
-                failures.append(f"composite inner prime {p}")
+    for p in inner or []:
+        if not _probably_prime(p):
+            failures.append(f"composite inner prime {p}")
 
+    if e < 3:
+        failures.append(f"public exponent e = {e} is below 3")
     if math.gcd(e, phi) != 1:
         failures.append("gcd(e, phi) != 1")
     elif phi == 0 or e * d % phi != 1:  # phi is 0 when a listed "prime" is 1
@@ -240,13 +248,12 @@ def validate_key(key: KeyPair) -> list[str]:
     if d**10 <= n**3:
         failures.append("private exponent below d^10 > N^3 floor")
 
-    congruent = inner if variant == "compatible" else primes
     if m_modulus < 2:
         failures.append(f"congruence modulus M = {m_modulus} is below 2")
-    elif len(congruent) != len(residues):
+    elif len(bound) != len(residues):
         failures.append("residue list length mismatch")
     else:
-        for i, (p, r) in enumerate(zip(congruent, residues)):
+        for i, (p, r) in enumerate(zip(bound, residues)):
             if p % m_modulus != r:
                 failures.append(f"prime[{i}] not congruent to its residue mod M")
     if len(set(residues)) != len(residues):
@@ -269,34 +276,27 @@ def validate_key(key: KeyPair) -> list[str]:
         failures.append(f"key size k = {k} is not an even integer in [16, {_MAX_K}]")
     if not 0 < gamma < 1:
         failures.append(f"gamma outside (0, 1): {gamma}")
-    else:
-        if variant == "standard":
-            if not _pairwise_proximity_ok(primes, gamma):
-                failures.append("prime pair violates exact proximity bound")
-            elif not _entropy_constraint_ok(primes[0], primes[1], gamma, beta):
-                failures.append("prime pair violates entropy budget")
-        elif variant == "multiprime":
-            if not _pairwise_proximity_ok(primes, gamma):
-                failures.append("prime cluster violates exact pairwise proximity")
-        else:
-            if not _pairwise_proximity_ok(inner, gamma):
-                failures.append("inner pair violates exact proximity bound")
-            elif not _entropy_constraint_ok(inner[0], inner[1], gamma, beta):
-                failures.append("inner pair violates entropy budget")
-            failures.extend(_compatible_outer_failures(primes, inner, n, k))
+    elif not _pairwise_proximity_ok(bound, gamma):
+        failures.append(f"{label} violates {proximity_rule}")
+    elif entropy_gated and not _entropy_constraint_ok(bound[0], bound[1], gamma, beta):
+        failures.append(f"{label} violates entropy budget")
+    if layered:
+        failures.extend(_compatible_outer_failures(primes, inner, n, k))
     return failures
 
 
 def _compatible_outer_failures(primes: list[int], inner: list[int], n: int, k: int) -> list[str]:
-    out: list[str] = []
-    if len(primes) != 2 or len(inner) != 2:
-        return ["compatible key must hold exactly two outer and two inner primes"]
     # The shift is recoverable: inner primes are k//2 - shift bits wide.
     if inner[0].bit_length() != inner[1].bit_length():
         return ["inner primes have unequal widths; shift is ambiguous"]
     shift = k // 2 - inner[0].bit_length()
     if shift < 1:
         return ["inner primes too wide for any positive shift"]
+    out: list[str] = []
+    # p' = p (mod 2^shift): p' - p is 0 or its lowest set bit, d & -d, is
+    # 2^shift or above; no 2^shift is built for a k far out of range
+    if any(p != q and ((p - q) & (q - p)).bit_length() <= shift for p, q in zip(primes, inner)):
+        out.append("outer primes do not end in their inner primes (mod 2^shift)")
     gap = abs(primes[0] - primes[1])
     if gap < (1 << (k // 2 - shift)):
         out.append("outer gap below 2^(k/2 - shift)")

@@ -517,6 +517,18 @@ def test_keygen_with_an_unreachable_budget_exits_2_at_once(wall_clock, capsys):
     assert "entropy budget beta*log2(1/gamma) is unreachable" in capsys.readouterr().err
 
 
+def test_a_partner_scan_that_can_no_longer_meet_the_budget_ends_at_once(wall_clock, capsys):
+    """beta = 1e-12 clears the up-front refusal, yet no partner in reach
+    meets it.  Each scan used to test every partner in the gamma*p window,
+    and the command exited 2 after 155 s on a 2-vCPU VM."""
+    from proxrsa import cli
+
+    argv = ["keygen", "--k", "64", "--gamma", "1/4", "--beta", "1e-12", "--insecure-small", "--seed", "00" * 32]
+    with wall_clock(5):
+        assert cli.main(argv) == cli.EXIT_EXHAUSTED
+    assert "no compliant pair within 64 restarts" in capsys.readouterr().err
+
+
 def test_keygen_with_e_3_exits_2_at_once(wall_clock, capsys):
     """At k = 2048, e = 3 failed all 64 restarts and exited 2 after 77.5 s."""
     from proxrsa import cli

@@ -1,8 +1,10 @@
 """The validator's own checks: its Baillie-PSW primality test against the
-sieve and known pseudoprimes, and its entropy budget, decided exactly,
-against mpmath oracles."""
+sieve and known pseudoprimes, its entropy budget, decided exactly,
+against mpmath oracles, and every failure it can report, each from a
+golden key with one edit."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from proxrsa import numerics, validate
+from proxrsa import keyfile, numerics, validate
 from proxrsa.errors import NumericalError
 
 KEYS = Path(__file__).parent / "data" / "keys"
@@ -142,3 +144,128 @@ def test_budget_gate_raises_when_no_bracket_decides():
     gamma = Fraction(10**3000 - 1, 10**3000)
     with pytest.raises(NumericalError, match="undecided"):
         validate._entropy_constraint_ok(p, p + 1, gamma, 5e-324)
+
+
+# --- every failure the validator reports -------------------------------------
+
+STANDARD = "keygen-k512-seed00.json"
+MULTIPRIME = "keygen-multi-m3-k96-seed00.json"
+COMPATIBLE = "keygen-compat-shift40-k512-seed00.json"  # inner primes 216 bits wide, shift 40
+
+
+def with_primes(kp, primes):
+    """kp with other primes, N and d recomputed from them."""
+    phi = math.prod(p - 1 for p in primes)
+    return kp._replace(primes=primes, n=math.prod(primes), d=pow(kp.e, -1, phi))
+
+
+def next_prime(n, residue=1, modulus=2):
+    """The first prime at or above n that is == residue (mod modulus)."""
+    n += (residue - n) % modulus
+    while not numerics.is_probable_prime(n):
+        n += modulus
+    return n
+
+
+def unrelated_outer(kp):
+    """Outer primes near 2^255 and 3*2^254 that do not end in the inner primes."""
+    return with_primes(kp, [next_prime(1 << 255), next_prime(3 << 254)])
+
+
+def close_outer(kp):
+    """An outer partner of the right low bits, as close to p' as they allow."""
+    p, q = kp.primes[0], kp.inner_primes[1]
+    return with_primes(kp, [p, next_prime(p + 1, q, 1 << 40)])
+
+
+TINY_GAMMA = Fraction(1, 1 << 600)  # below every golden pair's delta
+FAILURES = [
+    (STANDARD, lambda kp: kp._replace(variant="twin"), "unknown variant 'twin'"),
+    (COMPATIBLE, lambda kp: kp._replace(inner_primes=None), "compatible key is missing inner primes"),
+    (STANDARD, lambda kp: kp._replace(primes=kp.primes[:1]), "fewer than two primes (or inner primes) listed"),
+    (STANDARD, lambda kp: kp._replace(inner_primes=[3, 5]), "standard key lists inner primes"),
+    (MULTIPRIME, lambda kp: kp._replace(inner_primes=[3, 5]), "multiprime key lists inner primes"),
+    (STANDARD, lambda kp: kp._replace(primes=[*kp.primes, 3]), "standard key must hold exactly two primes"),
+    (MULTIPRIME, lambda kp: kp._replace(primes=kp.primes[:2]), "multiprime key must hold at least three primes"),
+    (COMPATIBLE, lambda kp: kp._replace(primes=[*kp.primes, 3]), "compatible key must hold exactly two primes"),
+    (STANDARD, lambda kp: kp._replace(n=kp.n + 2), "N != product of primes"),
+    (STANDARD, lambda kp: kp._replace(primes=kp.primes[:1] * 2), "listed primes are not distinct"),
+    (COMPATIBLE, lambda kp: kp._replace(inner_primes=kp.inner_primes[:1] * 2), "listed primes are not distinct"),
+    (STANDARD, lambda kp: kp._replace(primes=[kp.primes[0], 15]), "composite prime entry 15"),
+    (COMPATIBLE, lambda kp: kp._replace(inner_primes=[kp.inner_primes[0], 15]), "composite inner prime 15"),
+    (STANDARD, lambda kp: kp._replace(e=1, d=1 + math.prod(p - 1 for p in kp.primes)), "public exponent e = 1 is below 3"),
+    (STANDARD, lambda kp: kp._replace(e=kp.primes[0] - 1), "gcd(e, phi) != 1"),
+    (STANDARD, lambda kp: kp._replace(d=kp.d + 2), "e*d != 1 (mod phi)"),
+    (STANDARD, lambda kp: kp._replace(d=3), "private exponent below d^10 > N^3 floor"),
+    (STANDARD, lambda kp: kp._replace(m_modulus=1), "congruence modulus M = 1 is below 2"),
+    (STANDARD, lambda kp: kp._replace(residues=[*kp.residues, 1]), "residue list length mismatch"),
+    (STANDARD, lambda kp: kp._replace(residues=kp.residues[::-1]), "prime[0] not congruent to its residue mod M"),
+    (STANDARD, lambda kp: kp._replace(residues=kp.residues[:1] * 2), "residues are not pairwise distinct mod M"),
+    (STANDARD, lambda kp: kp._replace(m_modulus=9), "congruence modulus M is not a product of the first primes"),
+    (
+        STANDARD,
+        lambda kp: kp._replace(residues=[kp.residues[0], (kp.residues[0] + 3) % kp.m_modulus]),
+        "residues collide modulo factor 3 of M",
+    ),
+    (STANDARD, lambda kp: kp._replace(beta=1.5), "beta outside (0, 1): 1.5"),
+    (STANDARD, lambda kp: kp._replace(k=8), "key size k = 8 is below 16"),
+    (STANDARD, lambda kp: kp._replace(k=513), "key size k = 513 is not an even integer in [16, 8192]"),
+    (STANDARD, lambda kp: kp._replace(gamma=Fraction(2)), "gamma outside (0, 1): 2"),
+    (STANDARD, lambda kp: kp._replace(gamma=TINY_GAMMA), "prime pair violates exact proximity bound"),
+    (STANDARD, lambda kp: kp._replace(beta=5e-324), "prime pair violates entropy budget"),
+    (MULTIPRIME, lambda kp: kp._replace(gamma=TINY_GAMMA), "prime cluster violates exact pairwise proximity"),
+    (COMPATIBLE, lambda kp: kp._replace(gamma=TINY_GAMMA), "inner pair violates exact proximity bound"),
+    (COMPATIBLE, lambda kp: kp._replace(beta=5e-324), "inner pair violates entropy budget"),
+    (
+        COMPATIBLE,
+        lambda kp: kp._replace(inner_primes=[kp.inner_primes[0], 3]),
+        "inner primes have unequal widths; shift is ambiguous",
+    ),
+    (COMPATIBLE, lambda kp: kp._replace(k=2 * 216), "inner primes too wide for any positive shift"),
+    (COMPATIBLE, unrelated_outer, "outer primes do not end in their inner primes (mod 2^shift)"),
+    (COMPATIBLE, close_outer, "outer gap below 2^(k/2 - shift)"),
+    (COMPATIBLE, close_outer, "outer gap within Fermat-factoring reach (|p'-q'|^4 <= N)"),
+]
+
+
+@pytest.mark.parametrize("name, edit, failure", FAILURES, ids=[row[2] for row in FAILURES])
+def test_each_failure_is_reported_for_a_golden_key_with_one_edit(name, edit, failure):
+    kp = keyfile.read_key_file(KEYS / name)
+    assert validate.validate_key(kp) == []
+    assert failure in validate.validate_key(edit(kp))
+
+
+@pytest.mark.parametrize(
+    "name, edit, failure",
+    [
+        (STANDARD, lambda kp: kp._replace(inner_primes=[3, 5]), "standard key lists inner primes"),
+        (COMPATIBLE, unrelated_outer, "outer primes do not end in their inner primes (mod 2^shift)"),
+        (
+            STANDARD,
+            lambda kp: kp._replace(e=1, d=1 + math.prod(p - 1 for p in kp.primes)),
+            "public exponent e = 1 is below 3",
+        ),
+    ],
+    ids=["inner primes on a standard key", "unrelated outer primes", "e = 1"],
+)
+def test_a_fact_the_generator_guarantees_is_the_one_failure_of_a_key_without_it(name, edit, failure):
+    """Each edit keeps every other invariant, so its failure is the only one."""
+    assert validate.validate_key(edit(keyfile.read_key_file(KEYS / name))) == [failure]
+
+
+def test_a_layered_key_reports_its_outer_faults_whatever_gamma_is():
+    kp = close_outer(keyfile.read_key_file(KEYS / COMPATIBLE))._replace(gamma=Fraction(2))
+    assert validate.validate_key(kp) == [
+        "gamma outside (0, 1): 2",
+        "outer gap below 2^(k/2 - shift)",
+        "outer gap within Fermat-factoring reach (|p'-q'|^4 <= N)",
+    ]
+
+
+def test_a_layered_key_with_a_huge_k_is_checked_without_building_2_to_the_shift(wall_clock):
+    """k far past 8192 makes the shift huge; 2^shift would not fit in memory."""
+    kp = keyfile.read_key_file(KEYS / COMPATIBLE)._replace(k=10**30)
+    with wall_clock(5):
+        failures = validate.validate_key(kp)
+    assert f"key size k = {10**30} is not an even integer in [16, 8192]" in failures
+    assert "outer primes do not end in their inner primes (mod 2^shift)" in failures
