@@ -80,8 +80,6 @@ def _parse_seed(text: Optional[str]) -> bytes:
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         keyfile.atomic_write_bytes(out_path, text.encode("utf-8"))
 
@@ -229,15 +227,13 @@ def _closest_pair(primes: list[int]) -> list[int]:
 
 
 def _cmd_analyze(args) -> int:
-    from . import analysis
+    from . import analysis, validate
 
     key = keyfile.read_key_file(args.keyfile)
-    if len(key.primes) < 2:
-        raise ParameterError(f"{args.keyfile}: analyze needs a key of at least two primes")
-    # Layered keys: the quantum structure rides on the close inner pair,
-    # while classical attacks see the outer modulus (classical_report).
-    # Other keys report the pair with the smallest normalized gap.
-    pair = key.inner_primes or _closest_pair(key.primes)
+    bound, faults = validate.bound_primes(key)
+    if faults:
+        raise ParameterError(f"{args.keyfile}: {'; '.join(faults)}")
+    pair = _closest_pair(bound)
     quantum = analysis.complexity_report(
         pair[0], pair[1], key.gamma, k=key.k, kappa=args.kappa, eps_param=args.eps_param
     )

@@ -107,9 +107,11 @@ def group_summary(rows: list[ComparisonRow]) -> dict:
 def multiplicative_order(a: int, n: int) -> int:
     """Smallest r >= 1 with a^r == 1 (mod n).
 
-    r starts at phi(n), a multiple of the order, and loses each prime
-    factor l while a^(r/l) == 1, which ends at the order itself (Cohen, A
-    Course in Computational Algebraic Number Theory, Alg. 1.4.3).
+    r starts at phi(n), a multiple of the order.  For each prime l of
+    phi(n), r loses its whole power of l, and g = a^r is raised to the l
+    until it reaches 1, r taking an l back at each step: one full-size
+    power per prime of phi(n) (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 1.4.3).
     """
     if n < 2 or n > MAX_TOY_MODULUS:
         raise ParameterError(f"modulus must lie in [2, 2^{_MAX_TOY_BITS}]: {n}")
@@ -119,8 +121,12 @@ def multiplicative_order(a: int, n: int) -> int:
         raise ParameterError(f"gcd({a}, {n}) != 1")
     r = euler_phi(n)
     for ell in prime_factors(r):
-        while r % ell == 0 and pow(a, r // ell, n) == 1:
+        while r % ell == 0:
             r //= ell
+        g = pow(a, r, n)
+        while g != 1:
+            g = pow(g, ell, n)
+            r *= ell
     return r
 
 
@@ -160,14 +166,13 @@ def _prob_at_distance(d: int, r: int, q_size: int) -> float:
     has period 1 and is symmetric about 1/2, so the argument never leaves
     [0, pi/2] and float sin keeps full relative precision even when Q is
     2^40.  The numerator's m*t mod Q folds to the same value from t = d
-    and from t = Q - d, so d is all the closed form needs.
+    and from t = Q - d, so d is all the closed form needs.  Where m*d is a
+    multiple of Q the folded numerator is sin(0) = 0, and so is the result.
     """
     m = -(-q_size // r)
     if d == 0:
         return m / q_size
     top = m * d % q_size
-    if top == 0:
-        return 0.0
     if 2 * top > q_size:
         top = q_size - top
     ratio = math.sin(math.pi * top / q_size) / math.sin(math.pi * d / q_size)

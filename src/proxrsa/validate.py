@@ -206,6 +206,27 @@ _SHAPES = {
 _COUNT_RULES = {"exactly two": lambda count: count == 2, "at least three": lambda count: count >= 3}
 
 
+def bound_primes(key: KeyPair) -> tuple[Optional[list[int]], list[str]]:
+    """The primes a key's bounds hold on, and the key's shape faults.
+
+    The list is a layered key's inner pair and any other key's primes, or
+    None when the shape leaves nothing to check: an unknown variant, a
+    layered key without inner primes, or fewer than two primes.
+    """
+    variant, primes = key.variant, list(key.primes)
+    inner = list(key.inner_primes) if key.inner_primes else None
+    if variant not in _SHAPES:
+        return None, [f"unknown variant {variant!r}"]
+    layered = _SHAPES[variant][1]
+    if layered and not inner:
+        return None, [f"{variant} key is missing inner primes"]
+    if len(primes) < 2 or (inner is not None and len(inner) < 2):
+        return None, ["fewer than two primes (or inner primes) listed"]
+    if inner and not layered:
+        return primes, [f"{variant} key lists inner primes"]
+    return inner if layered else primes, []
+
+
 def validate_key(key: KeyPair) -> list[str]:
     """All violated invariants of a key, empty when the key is valid."""
     variant, n, e, d = key.variant, key.n, key.e, key.d
@@ -213,17 +234,10 @@ def validate_key(key: KeyPair) -> list[str]:
     inner = list(key.inner_primes) if key.inner_primes else None
     gamma, beta, k = key.gamma, key.beta, key.k
 
-    if variant not in _SHAPES:
-        return [f"unknown variant {variant!r}"]
+    bound, failures = bound_primes(key)
+    if bound is None:
+        return failures
     count_rule, layered, label, proximity_rule, entropy_gated = _SHAPES[variant]
-    if layered and not inner:
-        return [f"{variant} key is missing inner primes"]
-    if len(primes) < 2 or (inner is not None and len(inner) < 2):
-        return ["fewer than two primes (or inner primes) listed"]
-    failures: list[str] = []
-    if inner and not layered:
-        failures.append(f"{variant} key lists inner primes")
-    bound = inner if layered else primes
     if not all(_COUNT_RULES[count_rule](len(listed)) for listed in (primes, bound)):
         failures.append(f"{variant} key must hold {count_rule} primes")
 

@@ -860,6 +860,32 @@ def test_every_variant_reports_restart_exhaustion(argv, message, tmp_path, capsy
     assert err == f"error: {message}\n"
 
 
+# (golden key, fields replaced, the shape fault verify reports first)
+SHAPE_FAULTS = [
+    ("keygen-k512-seed00.json", {"inner_primes": ["0x3", "0x5"]}, "standard key lists inner primes"),
+    ("keygen-multi-m4-k1024-seed00.json", None, "multiprime key lists inner primes"),
+    ("keygen-compat-shift40-k512-seed00.json", {"inner_primes": None}, "compatible key is missing inner primes"),
+    ("keygen-k512-seed00.json", {"variant": "bogus"}, "unknown variant 'bogus'"),
+    ("keygen-k512-seed00.json", {"primes": ["0x5"]}, "fewer than two primes (or inner primes) listed"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fields, fault", SHAPE_FAULTS, ids=["standard-inner", "multi-inner", "compat-no-inner", "bogus", "one-prime"]
+)
+def test_analyze_refuses_the_shape_faults_verify_reports(name, fields, fault, tmp_path, capsys):
+    doc = json.loads((DATA / "keys" / name).read_text())
+    doc.update(fields if fields is not None else {"inner_primes": doc["primes"][1:3]})
+    key, report = tmp_path / "key.json", tmp_path / "report.json"
+    key.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(key))
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert err.startswith(f"FAIL: {fault}\n")
+    code, out, err = run(capsys, "analyze", str(key), "-o", str(report))
+    assert (code, out, err) == (cli.EXIT_BAD_PARAMS, "", f"error: {key}: {fault}\n")
+    assert not report.exists()
+
+
 # (command, fields replaced in a valid key document, documented exit code)
 MALFORMED = [
     ("verify", {"M": "0x0", "residues": ["0x1"]}, cli.EXIT_VERIFY_FAILED),

@@ -536,3 +536,48 @@ def test_keygen_with_e_3_exits_2_at_once(wall_clock, capsys):
     with wall_clock(5):
         assert cli.main(["keygen", "--k", "2048", "--e", "3", "--seed", "00" * 32]) == cli.EXIT_EXHAUSTED
     assert "e=3 is not invertible for any key: its factor 3 divides p - 1" in capsys.readouterr().err
+
+
+# --- restarts ----------------------------------------------------------------
+
+
+def _key_bytes(kp):
+    return keyfile.document_to_bytes(keyfile.keypair_to_document(kp))
+
+
+def test_a_pair_whose_exponents_do_not_finalize_restarts(monkeypatch):
+    """e = 29 is prime to M = 30030, so no residue is refused up front, but
+    this seed's first pair has 29 | p - 1 or q - 1: the next draw is the key."""
+    refused = []
+
+    def finalize(e, primes, _finalize=keygen._finalize_exponents):
+        done = _finalize(e, primes)
+        refused.append(done is None)
+        return done
+
+    monkeypatch.setattr(keygen, "_finalize_exponents", finalize)
+    params = params64(seed=bytes([6]) + bytes(31), e=29)
+    kp = keygen.generate_keypair(params)
+    assert refused == [True, False]
+    assert validate.validate_key(kp) == []
+    assert _key_bytes(kp) == _key_bytes(keygen.generate_keypair(params))
+
+
+def test_an_inner_prime_outside_inner_bits_restarts_the_layered_attempt(monkeypatch):
+    """At shift 20 and k = 72 the inner primes are 16 bits wide, and a
+    partner scan often crosses 2^16: the attempt starts over."""
+    widths = []
+
+    def attempt_pair(stream, bits, *rest, _attempt=keygen._attempt_pair):
+        found = _attempt(stream, bits, *rest)
+        if found is not None:
+            widths.append([p.bit_length() == bits for p in found[0]])
+        return found
+
+    monkeypatch.setattr(keygen, "_attempt_pair", attempt_pair)
+    params = KeyGenParams(k=72, seed=ZERO_SEED)
+    kp = keygen.generate_compatible(params, shift=20)
+    assert widths[-1] == [True, True] and len(widths) > 1
+    assert all(p.bit_length() == 16 for p in kp.inner_primes)
+    assert validate.validate_key(kp) == []
+    assert _key_bytes(kp) == _key_bytes(keygen.generate_compatible(params, shift=20))

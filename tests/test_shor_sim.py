@@ -197,6 +197,37 @@ def test_order_matches_multiplication_loop_below_two_thousand(wall_clock):
                 assert shor_sim.multiplicative_order(a, n) == walked[a], (a, n)
 
 
+def _prime_factor_count(r):
+    """Prime factors of r counted with multiplicity."""
+    count = 0
+    for d in _prime_divisors(r):
+        while r % d == 0:
+            r, count = r // d, count + 1
+    return count
+
+
+@pytest.mark.parametrize("n", [1537, 1999, 4369, 64507])
+def test_order_makes_one_full_size_pow_per_prime_of_phi(n, monkeypatch):
+    """Cohen's Alg. 1.4.3 raises a to a full-size power once per distinct
+    prime l of phi(n); each other pow raises g to l, one per prime factor of
+    the order.  With phi(4369) = 2^12 the strip tests took five full-size
+    powers of 3 where this takes one."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(shor_sim, "pow", counted, raising=False)
+    phi = sum(1 for a in range(1, n) if math.gcd(a, n) == 1)
+    for a in range(2, 200):
+        if math.gcd(a, n) == 1:
+            calls.clear()
+            r = shor_sim.multiplicative_order(a, n)
+            assert r == order_by_multiplication(a, n), (a, n)
+            assert len(calls) - _prime_factor_count(r) == len(_prime_divisors(phi)), (a, n)
+
+
 @pytest.mark.parametrize("n", [1 << 20, (1 << 20) - 1, 1048573, 1038439, 1000871, 781447])
 def test_order_matches_multiplication_loop_at_twenty_bits(n):
     for a in (2, 3, 5, 7, 11, 13, n - 2):
@@ -504,6 +535,12 @@ def test_prob_at_large_q_keeps_precision():
             )
             got = shor_sim._prob_at_distance(min(t, q_size - t), r, q_size)
             assert abs(got - want) <= 1e-12 * max(want, 1e-30), (c, got, want)
+
+
+def test_prob_at_a_closing_point_is_zero_as_the_dense_oracle_says():
+    """m*d = 6*8 = 48 is a multiple of Q = 16: the folded numerator is
+    sin(0), and y = 8 (t = 3*8 mod 16 = 8) scores nothing in the dense scan."""
+    assert shor_sim._prob_at_distance(8, 3, 16) == 0.0 == measurement_distribution(3, 16)[8]
 
 
 def test_success_probability_large_q_default():
