@@ -217,14 +217,16 @@ def bound_primes(key: KeyPair) -> tuple[Optional[list[int]], list[str]]:
     inner = list(key.inner_primes) if key.inner_primes else None
     if variant not in _SHAPES:
         return None, [f"unknown variant {variant!r}"]
-    layered = _SHAPES[variant][1]
+    count_rule, layered = _SHAPES[variant][:2]
     if layered and not inner:
         return None, [f"{variant} key is missing inner primes"]
     if len(primes) < 2 or (inner is not None and len(inner) < 2):
         return None, ["fewer than two primes (or inner primes) listed"]
-    if inner and not layered:
-        return primes, [f"{variant} key lists inner primes"]
-    return inner if layered else primes, []
+    bound = inner if layered else primes
+    faults = [f"{variant} key lists inner primes"] if inner and not layered else []
+    if not all(_COUNT_RULES[count_rule](len(listed)) for listed in (primes, bound)):
+        faults.append(f"{variant} key must hold {count_rule} primes")
+    return bound, faults
 
 
 def validate_key(key: KeyPair) -> list[str]:
@@ -237,9 +239,7 @@ def validate_key(key: KeyPair) -> list[str]:
     bound, failures = bound_primes(key)
     if bound is None:
         return failures
-    count_rule, layered, label, proximity_rule, entropy_gated = _SHAPES[variant]
-    if not all(_COUNT_RULES[count_rule](len(listed)) for listed in (primes, bound)):
-        failures.append(f"{variant} key must hold {count_rule} primes")
+    layered, label, proximity_rule, entropy_gated = _SHAPES[variant][1:]
 
     phi = math.prod(p - 1 for p in primes)
     if math.prod(primes) != n:

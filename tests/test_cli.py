@@ -509,9 +509,9 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path, cli_probe):
 
 def test_verify_loads_neither_mpmath_nor_numpy(cli_probe):
     keys = sorted((DATA / "keys").glob("*.json"))
-    assert len(keys) == 14
+    assert len(keys) == 16
     _, report = cli_probe([["verify", str(key)] for key in keys])
-    assert report["codes"] == [cli.EXIT_OK] * 14
+    assert report["codes"] == [cli.EXIT_OK] * 16
     assert not report["mpmath"] and not report["numpy"]
 
 
@@ -860,22 +860,44 @@ def test_every_variant_reports_restart_exhaustion(argv, message, tmp_path, capsy
     assert err == f"error: {message}\n"
 
 
-# (golden key, fields replaced, the shape fault verify reports first)
+# (golden key, its fields to replace, the shape fault verify reports first)
 SHAPE_FAULTS = [
-    ("keygen-k512-seed00.json", {"inner_primes": ["0x3", "0x5"]}, "standard key lists inner primes"),
-    ("keygen-multi-m4-k1024-seed00.json", None, "multiprime key lists inner primes"),
-    ("keygen-compat-shift40-k512-seed00.json", {"inner_primes": None}, "compatible key is missing inner primes"),
-    ("keygen-k512-seed00.json", {"variant": "bogus"}, "unknown variant 'bogus'"),
-    ("keygen-k512-seed00.json", {"primes": ["0x5"]}, "fewer than two primes (or inner primes) listed"),
+    ("keygen-k512-seed00.json", lambda doc: {"inner_primes": ["0x3", "0x5"]}, "standard key lists inner primes"),
+    (
+        "keygen-multi-m4-k1024-seed00.json",
+        lambda doc: {"inner_primes": doc["primes"][1:3]},
+        "multiprime key lists inner primes",
+    ),
+    (
+        "keygen-compat-shift40-k512-seed00.json",
+        lambda doc: {"inner_primes": None},
+        "compatible key is missing inner primes",
+    ),
+    ("keygen-k512-seed00.json", lambda doc: {"variant": "bogus"}, "unknown variant 'bogus'"),
+    ("keygen-k512-seed00.json", lambda doc: {"primes": ["0x5"]}, "fewer than two primes (or inner primes) listed"),
+    (
+        "keygen-k512-seed00.json",
+        lambda doc: {"primes": ["0x5", "0x0", "0x7"]},
+        "standard key must hold exactly two primes",
+    ),
+    (
+        "keygen-multi-m4-k1024-seed00.json",
+        lambda doc: {"variant": "standard"},
+        "standard key must hold exactly two primes",
+    ),
+    (
+        "keygen-compat-shift40-k512-seed00.json",
+        lambda doc: {"primes": doc["primes"] + [hex(2**255 - 19)]},
+        "compatible key must hold exactly two primes",
+    ),
+]
+SHAPE_FAULT_IDS = [
+    "standard-inner", "multi-inner", "compat-no-inner", "bogus", "one-prime",
+    "standard-three-primes", "multi-m4-as-standard", "compat-third-outer",
 ]
 
 
-@pytest.mark.parametrize(
-    "name, fields, fault", SHAPE_FAULTS, ids=["standard-inner", "multi-inner", "compat-no-inner", "bogus", "one-prime"]
-)
-def test_analyze_refuses_the_shape_faults_verify_reports(name, fields, fault, tmp_path, capsys):
-    doc = json.loads((DATA / "keys" / name).read_text())
-    doc.update(fields if fields is not None else {"inner_primes": doc["primes"][1:3]})
+def _assert_analyze_refuses_the_fault_verify_reports_first(doc, fault, tmp_path, capsys):
     key, report = tmp_path / "key.json", tmp_path / "report.json"
     key.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(key))
@@ -884,6 +906,13 @@ def test_analyze_refuses_the_shape_faults_verify_reports(name, fields, fault, tm
     code, out, err = run(capsys, "analyze", str(key), "-o", str(report))
     assert (code, out, err) == (cli.EXIT_BAD_PARAMS, "", f"error: {key}: {fault}\n")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("name, edit, fault", SHAPE_FAULTS, ids=SHAPE_FAULT_IDS)
+def test_analyze_refuses_the_shape_faults_verify_reports(name, edit, fault, tmp_path, capsys):
+    doc = json.loads((DATA / "keys" / name).read_text())
+    doc.update(edit(doc))
+    _assert_analyze_refuses_the_fault_verify_reports_first(doc, fault, tmp_path, capsys)
 
 
 # (command, fields replaced in a valid key document, documented exit code)
@@ -900,7 +929,8 @@ MALFORMED = [
     ("analyze", {"primes": []}, cli.EXIT_BAD_PARAMS),
     ("verify", {"primes": ["0x5"]}, cli.EXIT_VERIFY_FAILED),
     ("analyze", {"primes": ["0x5"]}, cli.EXIT_BAD_PARAMS),
-    ("analyze", {"primes": ["0x5", "0x0", "0x7"]}, cli.EXIT_OK),  # closest pair skips the 0
+    ("analyze", {"primes": ["0x5", "0x0", "0x7"]}, cli.EXIT_BAD_PARAMS),
+    ("analyze", {"variant": "multiprime", "primes": ["0x5", "0x0", "0x7"]}, cli.EXIT_OK),  # closest pair skips the 0
     ("verify", {"primes": ["0x1", "0x5"], "e": "0x1"}, cli.EXIT_VERIFY_FAILED),
     ("verify", {"k": 10**6}, cli.EXIT_VERIFY_FAILED),
     ("verify", {"k": 511}, cli.EXIT_VERIFY_FAILED),
@@ -1114,14 +1144,11 @@ def test_verify_fails_an_over_budget_pair_under_either_label(variant, failure, t
     assert err == f"FAIL: {failure}\n"
 
 
-def test_verify_rejects_a_multiprime_key_labelled_standard(tmp_path, capsys):
-    doc = json.loads((DATA / "keys" / "keygen-multi-m4-k1024-seed00.json").read_text())
-    doc["variant"] = "standard"
-    key = tmp_path / "key.json"
-    key.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "verify", str(key))
-    assert code == cli.EXIT_VERIFY_FAILED
-    assert "FAIL: standard key must hold exactly two primes" in err.splitlines()
+def test_analyze_refuses_a_two_prime_key_labelled_multiprime(tmp_path, capsys):
+    doc = keyfile.keypair_to_document(_wide_pair_key()._replace(variant="multiprime"))
+    _assert_analyze_refuses_the_fault_verify_reports_first(
+        doc, "multiprime key must hold at least three primes", tmp_path, capsys
+    )
 
 
 # A strong pseudoprime to every prime base up to 41 (Jaeschke, 1993)

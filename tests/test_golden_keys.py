@@ -3,11 +3,12 @@
 Each file in tests/data/keys/ was written by the CLI, e.g.
 `proxrsa keygen --k 512 --gamma 1/4 --insecure-small --seed 00..00 -o ...`.
 Every case regenerates its key in process, compares the serialized
-bytes, and reads the file back as the same key record.  The k = 2048
-and k = 3072 cases are the size ladder: each runs under a wall-clock
-bound.  The small keys (k = 64 to 256) have gaps in the band where the
-192-bit rounding of the entropy report sets its digits, so their reports
-are neither "1.0" nor "0.0".
+bytes, and reads the file back as the same key record.  The k = 2048,
+3072 and 4096 cases are the size ladder: each runs under a wall-clock
+bound (CI's real-sizes job checks k = 8192 keys against pinned
+digests).  The small keys (k = 64 to 256) have gaps in the band where
+the 192-bit rounding of the entropy report sets its digits, so their
+reports are neither "1.0" nor "0.0".
 
 Every golden key passes the validator, and `verify` on each key of
 k >= 2048 runs under a one-second bound.
@@ -57,6 +58,8 @@ GOLDEN = [
     ("keygen-multi-m3-k2048-seed00.json", "multi", 2048, 0x00, None, 3, 60),
     ("keygen-compat-k2048-seed00.json", "compat", 2048, 0x00, None, 100, 60),
     ("keygen-k3072-seed00.json", "standard", 3072, 0x00, None, None, 120),
+    ("keygen-k4096-seed00.json", "standard", 4096, 0x00, None, None, 180),
+    ("keygen-multi-m3-k4096-seed00.json", "multi", 4096, 0x00, None, 3, 60),
     ("keygen-k64-seed00.json", "standard", 64, 0x00, QUARTER, None, 30),
     ("keygen-k192-seed00.json", "standard", 192, 0x00, QUARTER, None, 30),
     ("keygen-multi-m3-k96-seed00.json", "multi", 96, 0x00, QUARTER, 3, 30),
