@@ -16,10 +16,10 @@ standard library alone; the range is never held as Python ints.
 census_pairs splits its range into one contiguous chunk per CPU this
 process may run on, each of at least _MIN_CHUNK numbers.  It counts the
 first chunk itself and each other one in a child made with os.fork,
-which inherits the base primes and sends back four ints over a pipe.
-Where os.sched_getaffinity does not exist (macOS, Windows), one chunk
-holds the whole range; a chunk no child can be made for is counted
-in-process.
+which inherits the base primes and writes four ints into its slot of
+one shared mapping.  Where os.sched_getaffinity does not exist (macOS,
+Windows), one chunk holds the whole range; a chunk no child can be made
+for is counted in-process.
 
 For fixed p the predicate holds exactly for 0 < q - p <= G(p), and the
 threshold gap G(p) is an integer square root away (_max_gap_of), never
@@ -190,47 +190,45 @@ def _count_chunks(chunks: list, gamma: Fraction, base: list[int]) -> list:
     """_chunk_counts of each (lo, hi) in chunks: the first in this process,
     each other in a child made with os.fork, or here if none can be made.
 
-    A child sends its counts over a pipe and leaves by os._exit, status 1
-    on an exception, so it never returns into the caller, flushes stdio or
-    runs atexit handlers.  ProxRsaError (exit 1) when a child fails; every
-    child not yet reaped is killed and reaped on the way out."""
-    children = {}  # chunk index -> (pid, read end of its pipe)
+    A child writes its counts into its slot of one shared mapping (without
+    the mapping, no child is made) and leaves by os._exit, status 1 on an
+    exception, so it never returns into the caller, flushes stdio or runs
+    atexit handlers.  ProxRsaError (exit 1) when a child fails; every child
+    not yet reaped is killed and reaped on the way out."""
+    import mmap
+
+    try:
+        slots = mmap.mmap(-1, 32 * len(chunks))
+    except OSError:
+        return [_chunk_counts(*c, gamma, base) for c in chunks]
+    children = {}  # chunk index -> pid
     try:
         for index in range(1, len(chunks)):
             try:
-                read, write = os.pipe()
+                pid = os.fork()
             except OSError:
                 continue  # counted below, in this process
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        os.write(write, _chunk_counts(*chunks[index], gamma, base).tobytes())
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                children[index] = pid, read
-            except OSError:
-                os.close(read)
-            finally:
-                os.close(write)
+            if pid == 0:
+                try:
+                    slots[32 * index : 32 * index + 32] = _chunk_counts(*chunks[index], gamma, base).tobytes()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[index] = pid
         counts = [None if i in children else _chunk_counts(*c, gamma, base) for i, c in enumerate(chunks)]
-        for index, (pid, read) in list(children.items()):
-            data = os.read(read, 64)  # the child wrote its 32 bytes at once
+        for index, pid in list(children.items()):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[index]
-            os.close(read)
-            if code or len(data) != 32:
+            if code:
                 lo, hi = chunks[index]
-                message = f"census of [{lo}, {hi}] failed in child {pid}: exit {code}, read {len(data)} bytes"
-                raise ProxRsaError(message)
-            counts[index] = array("q", data)
+                raise ProxRsaError(f"census of [{lo}, {hi}] failed in child {pid}: exit {code}")
+            counts[index] = array("q", slots[32 * index : 32 * index + 32])
         return counts
     finally:
-        for pid, read in children.values():
-            os.close(read)
+        for pid in children.values():
             os.kill(pid, 9)  # SIGKILL, without loading the signal module
             os.waitpid(pid, 0)
+        slots.close()
 
 
 def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:

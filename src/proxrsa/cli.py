@@ -193,12 +193,6 @@ def _cmd_keygen(args) -> int:
     else:
         kp = keygen.generate_keypair(params)
     _emit(_json_text(keyfile.keypair_to_document(kp)), args.out)
-    if args.out is not None:
-        print(
-            f"note: {args.out} contains private key material; "
-            "restrict its permissions (e.g. chmod 600)",
-            file=sys.stderr,
-        )
     return EXIT_OK
 
 

@@ -3,6 +3,7 @@ import errno
 import functools
 import json
 import math
+import mmap
 import os
 import time
 from fractions import Fraction
@@ -392,17 +393,28 @@ def test_chunks_that_hold_no_prime_are_passed_over():
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("call", ["fork", "pipe"])
-def test_a_chunk_no_child_can_take_is_counted_in_process(call):
+def fds_and_mappings():
+    """This process's open fds and its shared anonymous mappings."""
+    with open("/proc/self/maps") as maps:
+        shared = sum(line.rstrip().endswith("/dev/zero (deleted)") for line in maps)
+    return os.listdir("/proc/self/fd"), shared
+
+
+@pytest.mark.parametrize("call, forks", [("fork", 1), ("mmap", 0)], ids=["fork", "mmap"])
+def test_a_chunk_no_child_can_take_is_counted_in_process(call, forks):
+    """A refused fork leaves its chunk to this process; a mapping that
+    cannot be made leaves it every chunk, and no fork is tried."""
     lo, hi, gamma = PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2)
     with on_cpus(1):
         alone = census.census_pairs(lo, hi, gamma)
-    fds = os.listdir("/proc/self/fd")
+    before = fds_and_mappings()
     refused = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-    with on_cpus(2), mock.patch.object(os, call, side_effect=refused) as failing:
-        assert census.census_pairs(lo, hi, gamma) == alone
-    assert failing.call_count == 1
-    assert os.listdir("/proc/self/fd") == fds
+    with on_cpus(2), mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as mapping:
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            {"fork": fork, "mmap": mapping}[call].side_effect = refused
+            assert census.census_pairs(lo, hi, gamma) == alone
+    assert (mapping.call_count, fork.call_count) == (1, forks)
+    assert fds_and_mappings() == before
     assert_no_child_left()
 
 
@@ -414,9 +426,9 @@ def test_a_failing_child_ends_the_census_with_exit_1(capsys):
             raise MemoryError
         return real(*args)
 
-    fds = os.listdir("/proc/self/fd")
+    before = fds_and_mappings()
     with on_cpus(2), mock.patch.object(census, "_chunk_counts", chunk_counts):
-        with pytest.raises(ProxRsaError, match=r"failed in child \d+: exit 1, read 0 bytes"):
+        with pytest.raises(ProxRsaError, match=r"failed in child \d+: exit 1$"):
             census.census_pairs(PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2))
         assert_no_child_left()
         code = cli.main(["census", "--lo", str(PLAIN_LO), "--hi", str(PLAIN_LO + (1 << 23)), "--gamma", "1/2"])
@@ -424,7 +436,33 @@ def test_a_failing_child_ends_the_census_with_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: census of [") and err.count("\n") == 1
-    assert os.listdir("/proc/self/fd") == fds
+    assert fds_and_mappings() == before
+    assert_no_child_left()
+
+
+def test_a_child_killed_mid_count_ends_the_census_with_exit_1(capsys):
+    """The child sends itself SIGKILL in the second of its four segments,
+    with its slot of the mapping still empty."""
+    parent, real = os.getpid(), census._segments
+
+    def segments(*args):
+        for index, segment in enumerate(real(*args)):
+            if index and os.getpid() != parent:
+                os.kill(os.getpid(), 9)
+            yield segment
+
+    argv = ["census", "--lo", str(PLAIN_LO), "--hi", str(PLAIN_LO + (1 << 23)), "--gamma", "1/2"]
+    before = fds_and_mappings()
+    with on_cpus(2), mock.patch.object(census, "_SEGMENT", 1 << 20), mock.patch.object(census, "_segments", segments):
+        with pytest.raises(ProxRsaError, match=r"failed in child \d+: exit -9$"):
+            census.census_pairs(PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2))
+        assert_no_child_left()
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: census of [") and err.endswith(": exit -9\n") and err.count("\n") == 1
+    assert fds_and_mappings() == before
     assert_no_child_left()
 
 
