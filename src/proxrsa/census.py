@@ -5,21 +5,22 @@ consecutive prime pairs (p, next prime) and census_progression counts all
 pairs p < q in prescribed residue classes.  Both decide the proximity
 predicate |q - p| < gamma*sqrt(p*q) in exact integer arithmetic.
 
-Both read the range from one segment stream (_segments): one list of
-base primes up to sqrt(hi) from numerics.sieve_range, one zero buffer,
-and per _SEGMENT block a bytearray with one byte per odd number, 1 where
-it is prime (numerics._odd_mask).  The range check is numerics' own; the
-plain census has no span cap beyond the 2^40 bound on hi, and only the
-progression census caps its span, at 2^26.  The module runs on the
-standard library alone; the range is never held as Python ints.
+Both read the range from numerics.segments, the one sieve loop: per
+2^24-number block a bytearray with one byte per odd number, 1 where it
+is prime, and a zero buffer whose slices are needles for runs of zeros.
+The range check is numerics' own; the plain census has no span cap
+beyond the 2^40 bound on hi, and only the progression census caps its
+span, at 2^26.  The module runs on the standard library alone; the range
+is never held as Python ints.
 
 census_pairs splits its range into one contiguous chunk per CPU this
 process may run on, each of at least _MIN_CHUNK numbers.  It counts the
 first chunk itself and each other one in a child made with os.fork,
-which inherits the base primes and writes four ints into its slot of
-one shared mapping.  Where os.sched_getaffinity does not exist (macOS,
-Windows), one chunk holds the whole range; a chunk no child can be made
-for is counted in-process.
+which gets only its bounds and gamma, sieves its own base primes and
+writes four ints into its slot of one shared mapping.  Where
+os.sched_getaffinity does not exist (macOS, Windows), one chunk holds
+the whole range; a chunk no child can be made for is counted
+in-process.
 
 For fixed p the predicate holds exactly for 0 < q - p <= G(p), and the
 threshold gap G(p) is an integer square root away (_max_gap_of), never
@@ -54,7 +55,6 @@ from typing import NamedTuple, Optional
 from . import numerics
 from .errors import ParameterError, ProxRsaError, RangeTooLargeError
 
-_SEGMENT = 1 << 24
 _MIN_CHUNK = 1 << 22
 _MAX_PROGRESSION_SPAN = 1 << 26
 
@@ -120,18 +120,6 @@ def _max_gap_of(gamma: Fraction):
     return max_gap
 
 
-def _segments(lo: int, hi: int, base: list[int]):
-    """(lo|1, mask, buffer) per _SEGMENT block of [lo, hi]: mask[i] is 1
-    when the odd number (lo|1) + 2*i is prime (numerics._odd_mask), and 2
-    is left to the caller.  base holds the primes up to at least isqrt(hi)
-    and serves every block, as one zero buffer does; buffer[:n + 1], a 1
-    and n zeros, is the needle for a run of n zeros, for any n below the
-    mask's length."""
-    buffer = numerics._zero_buffer(min(_SEGMENT, hi - lo + 1) - 1)
-    for start in range(lo, hi + 1, _SEGMENT):
-        yield start | 1, numerics._odd_mask(start, min(start + _SEGMENT - 1, hi), base, buffer), buffer
-
-
 def _report(lo: int, hi: int, gamma: Fraction, prime_count: int, pair_count: int, **classes) -> CensusReport:
     reference = float(gamma) * hi / math.log(hi) ** 2 if hi >= 3 else 0.0
     return CensusReport(
@@ -159,12 +147,13 @@ def _joined(parts, gamma: Fraction) -> array:
     return array("q", [primes, failures, first, last])
 
 
-def _chunk_counts(lo: int, hi: int, gamma: Fraction, base: list[int]) -> array:
+def _chunk_counts(lo: int, hi: int, gamma: Fraction) -> array:
     """_joined counts of [lo, hi]: one part per segment, and 2 one of its
-    own, as the masks hold odd numbers only."""
+    own, as the masks hold odd numbers only.  The segments sieve their own
+    base primes, so a chunk needs nothing but its bounds and gamma."""
     max_gap = _max_gap_of(gamma)
     parts = [(1, 0, 2, 2)] if lo <= 2 <= hi else []
-    for odd, mask, needles in _segments(lo, hi, base):
+    for odd, mask, needles in numerics.segments(lo, hi):
         i, last = mask.find(1), mask.rfind(1)
         if i < 0:
             continue
@@ -186,7 +175,7 @@ def _chunk_counts(lo: int, hi: int, gamma: Fraction, base: list[int]) -> array:
     return _joined(parts, gamma)
 
 
-def _count_chunks(chunks: list, gamma: Fraction, base: list[int]) -> list:
+def _count_chunks(chunks: list, gamma: Fraction) -> list:
     """_chunk_counts of each (lo, hi) in chunks: the first in this process,
     each other in a child made with os.fork, or here if none can be made.
 
@@ -200,7 +189,7 @@ def _count_chunks(chunks: list, gamma: Fraction, base: list[int]) -> list:
     try:
         slots = mmap.mmap(-1, 32 * len(chunks))
     except OSError:
-        return [_chunk_counts(*c, gamma, base) for c in chunks]
+        return [_chunk_counts(*c, gamma) for c in chunks]
     children = {}  # chunk index -> pid
     try:
         for index in range(1, len(chunks)):
@@ -210,12 +199,12 @@ def _count_chunks(chunks: list, gamma: Fraction, base: list[int]) -> list:
                 continue  # counted below, in this process
             if pid == 0:
                 try:
-                    slots[32 * index : 32 * index + 32] = _chunk_counts(*chunks[index], gamma, base).tobytes()
+                    slots[32 * index : 32 * index + 32] = _chunk_counts(*chunks[index], gamma).tobytes()
                     os._exit(0)
                 finally:
                     os._exit(1)
             children[index] = pid
-        counts = [None if i in children else _chunk_counts(*c, gamma, base) for i, c in enumerate(chunks)]
+        counts = [None if i in children else _chunk_counts(*c, gamma) for i, c in enumerate(chunks)]
         for index, pid in list(children.items()):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[index]
@@ -236,12 +225,11 @@ def census_pairs(lo: int, hi: int, gamma: Fraction) -> CensusReport:
     numerics._check_bounds(lo, hi)
     _check_gamma(gamma)
 
-    base = numerics.sieve_range(0, math.isqrt(hi))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # not on macOS, Windows
     workers = max(1, min(cpus, (hi - lo + 1) // _MIN_CHUNK))
     edges = [lo + (hi - lo + 1) * w // workers for w in range(workers + 1)]
     chunks = [(start, end - 1) for start, end in zip(edges, edges[1:])]
-    prime_count, failures, _, _ = _joined(_count_chunks(chunks, gamma, base), gamma)
+    prime_count, failures, _, _ = _joined(_count_chunks(chunks, gamma), gamma)
     pair_count = max(prime_count - 1, 0) - failures
     return _report(lo, hi, gamma, prime_count, pair_count)
 
@@ -272,7 +260,7 @@ def census_progression(
         for members, r in ((in_a, res_a), (in_b, res_b)):
             if 2 % modulus == r:
                 members.append(2)
-    for odd, mask, _ in _segments(lo, hi, numerics.sieve_range(0, math.isqrt(hi))):
+    for odd, mask, _ in numerics.segments(lo, hi):
         prime_count += mask.count(1)
         for members, r in ((in_a, res_a), (in_b, res_b)):
             first = odd + (r - odd) % modulus

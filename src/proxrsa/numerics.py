@@ -9,14 +9,15 @@ reproduce identical results bit for bit.
 
 :func:`sieve_range` is the one function that lists primes: the small
 primes of trial division, the first ell primes of the congruence
-modulus (:func:`first_primes`), shor-compare's prime band and the
-census's base primes.  _odd_mask marks the odd numbers of a window in a
-``bytearray``, one byte each, and crosses off multiples with slices of
-one shared zero buffer; sieve_range takes its base primes up to
-isqrt(hi) from itself, and the census reads its range as such masks,
-one per segment.  The module needs nothing outside the standard library,
-and hashlib loads with the first stream, so a sieve-only caller never
-imports it.
+modulus (:func:`first_primes`), shor-compare's prime band and the base
+primes of every sieve.  :func:`segments` is the one sieve loop: per
+2^24-number block it yields a ``bytearray`` with one byte per odd
+number (_odd_mask), crossing off multiples with slices of one shared
+zero buffer, and it takes its base primes up to isqrt(hi) from
+sieve_range.  sieve_range lists its primes from those masks, and both
+censuses read their range from them.  The module needs nothing outside
+the standard library, and hashlib loads with the first stream, so a
+sieve-only caller never imports it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
 _MAX_COUNTER = 1 << 64
 _MAX_SIEVE_HI = 1 << 40
 _MAX_SIEVE_SPAN = 1 << 28
+_SEGMENT = 1 << 24
 
 
 class SeedStream:
@@ -182,27 +184,34 @@ def _check_bounds(lo: int, hi: int) -> None:
 
 
 def sieve_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending.  Span is capped at 2**28.
+    """All primes in [lo, hi], ascending, read from the masks of
+    segments(lo, hi).  Span is capped at 2**28.
 
-    The base primes up to isqrt(hi) come from this function itself, so
-    the recursion ends at a window below 2.
+    The base primes of segments come from this function, so the recursion
+    ends at a window below 2.
     """
     _check_bounds(lo, hi)
     if hi - lo > _MAX_SIEVE_SPAN:
         raise RangeTooLargeError(f"segment span exceeds 2^28: {hi - lo}")
     if hi < 2:
         return []
-    mask = _odd_mask(lo, hi, sieve_range(0, math.isqrt(hi)), _zero_buffer(hi - lo))
-    primes = list(itertools.compress(range(lo | 1, hi + 1, 2), mask))
-    return [2, *primes] if lo <= 2 <= hi else primes
+    primes = itertools.chain.from_iterable(
+        itertools.compress(range(odd, hi + 1, 2), mask) for odd, mask, _ in segments(lo, hi)
+    )
+    return [2, *primes] if lo <= 2 <= hi else list(primes)
 
 
-def _zero_buffer(span: int) -> memoryview:
-    """One 1 byte and then enough zero bytes for _odd_mask and for a
-    zero-run needle over any window of at most span + 1 numbers."""
-    buffer = bytearray(span // 2 + 2)
-    buffer[0] = 1
-    return memoryview(buffer)
+def segments(lo: int, hi: int):
+    """(lo|1, mask, buffer) per _SEGMENT block of [lo, hi]: mask[i] is 1
+    when the odd number (lo|1) + 2*i is prime, and 2 is left to the caller.
+
+    The base primes up to isqrt(hi) are sieved once and serve every block,
+    as one buffer does: a 1 and then zero bytes, so buffer[:n + 1] is the
+    needle for a run of n zeros, for any n below the mask's length."""
+    base = sieve_range(0, math.isqrt(hi))
+    buffer = memoryview(b"\x01" + bytes(min(_SEGMENT, hi - lo + 1) // 2 + 1))
+    for start in range(lo, hi + 1, _SEGMENT):
+        yield start | 1, _odd_mask(start, min(start + _SEGMENT - 1, hi), base, buffer), buffer
 
 
 def _odd_mask(lo: int, hi: int, base_primes: list[int], buffer: memoryview) -> bytearray:
@@ -211,8 +220,8 @@ def _odd_mask(lo: int, hi: int, base_primes: list[int], buffer: memoryview) -> b
 
     base_primes must hold every prime from 2 up to isqrt(hi), ascending;
     larger ones are ignored, so one base list serves every window below
-    its top.  Multiples are crossed off with slices of buffer (from
-    _zero_buffer), so no base prime allocates zero bytes of its own."""
+    its top.  Multiples are crossed off with slices of buffer[1:], zero
+    bytes at least as many as the mask's, so no base prime allocates its own."""
     odd = lo | 1
     size = max(0, (hi - odd) // 2 + 1)
     mask = bytearray(b"\x01") * size

@@ -139,6 +139,13 @@ def test_quantum_report_field_ranges():
         assert 0 <= as_float(rep.succ_prob_bound) <= 1
 
 
+def test_two_to_minus_one_half_is_mpmaths_power():
+    """The bound 2^-H2 at H2 = 1/2 takes the inverse square root of 2."""
+    with mp.workprec(analysis.BITS):
+        want = mpf(2) ** -0.5
+    assert analysis._two_to((-1, -1)) == (want.man, want.exp) == (56022770974786139918731938227, -96)
+
+
 def test_classical_report_quotes_symbolic_costs():
     doc = analysis.classical_report(FakeKey([101, 103]), fermat_budget=10).to_dict()
     assert doc["gnfs_cost_symbolic"] == analysis.GNFS_COST_SYMBOLIC

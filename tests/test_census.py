@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxrsa import census, cli
+from proxrsa import census, cli, numerics
 from proxrsa.errors import ParameterError, ProxRsaError, RangeTooLargeError
 from proxrsa.numerics import sieve_range
 
@@ -185,7 +185,7 @@ def test_census_pairs_across_small_segments():
     for segment in (1, 2, 7, 64, 1000, 4096):
         starts = range(lo, hi + 1, segment)
         seen |= {bisect.bisect_left(in_range, s + segment) - bisect.bisect_left(in_range, s) for s in starts}
-        with mock.patch.object(census, "_SEGMENT", segment):
+        with mock.patch.object(numerics, "_SEGMENT", segment):
             for gamma in (Fraction(1, 2), Fraction(1, 1000)):
                 want = naive_pairs(lo, hi, gamma)
                 report = census.census_pairs(lo, hi, gamma)
@@ -227,7 +227,7 @@ def test_census_pairs_matches_the_pair_loop(data):
     hi = min(lo + data.draw(st.integers(0, 20_000)), (1 << 22) - 1)
     gamma = data.draw(GAMMAS)
     segment = data.draw(st.sampled_from([1 << 24, 4096, 97]))
-    with mock.patch.object(census, "_SEGMENT", segment):
+    with mock.patch.object(numerics, "_SEGMENT", segment):
         report = census.census_pairs(lo, hi, gamma)
     assert report.pair_count == loop_pairs(lo, hi, gamma)
     assert report.prime_count == len(sieve_range(lo, hi))
@@ -348,7 +348,7 @@ CHUNKED = [
 def test_forked_chunks_count_what_one_process_counts(lo, hi, gamma, counts, segment):
     """With 2^20-number segments, each chunk holds several, so its first
     and last prime lie in different segments."""
-    with mock.patch.object(census, "_SEGMENT", segment):
+    with mock.patch.object(numerics, "_SEGMENT", segment):
         with on_cpus(1), mock.patch.object(os, "fork") as fork:
             alone = census.census_pairs(lo, hi, gamma)
         assert fork.call_count == 0  # a process on one CPU forks nothing
@@ -443,7 +443,7 @@ def test_a_failing_child_ends_the_census_with_exit_1(capsys):
 def test_a_child_killed_mid_count_ends_the_census_with_exit_1(capsys):
     """The child sends itself SIGKILL in the second of its four segments,
     with its slot of the mapping still empty."""
-    parent, real = os.getpid(), census._segments
+    parent, real = os.getpid(), numerics.segments
 
     def segments(*args):
         for index, segment in enumerate(real(*args)):
@@ -453,7 +453,7 @@ def test_a_child_killed_mid_count_ends_the_census_with_exit_1(capsys):
 
     argv = ["census", "--lo", str(PLAIN_LO), "--hi", str(PLAIN_LO + (1 << 23)), "--gamma", "1/2"]
     before = fds_and_mappings()
-    with on_cpus(2), mock.patch.object(census, "_SEGMENT", 1 << 20), mock.patch.object(census, "_segments", segments):
+    with on_cpus(2), mock.patch.object(numerics, "_SEGMENT", 1 << 20), mock.patch.object(numerics, "segments", segments):
         with pytest.raises(ProxRsaError, match=r"failed in child \d+: exit -9$"):
             census.census_pairs(PLAIN_LO, PLAIN_LO + (1 << 23), Fraction(1, 2))
         assert_no_child_left()

@@ -841,6 +841,11 @@ REFUSALS = {
         ["census", "--lo", "2", "--hi", "100", "--gamma", "1/2", "--mod", "0", "--a", "1", "--b", "1"],
         "modulus must be >= 1",
     ),
+    "census-negative-lo": (["census", "--lo", "-5", "--hi", "10", "--gamma", "1/2"], "bounds must be non-negative"),
+    "census-negative-lo-progression": (
+        ["census", "--lo", "-5", "--hi", "10", "--gamma", "1/2", "--mod", "6", "--a", "1", "--b", "5"],
+        "bounds must be non-negative",
+    ),
     "census-wide-progression": (
         ["census", "--lo", "1", "--hi", str(2**27), "--gamma", "1/2", "--mod", "6", "--a", "1", "--b", "5"],
         "progression census range capped at 2^26",

@@ -105,6 +105,14 @@ def test_check_entropy_constraint_rejects_wide_pair():
     assert not report.constraint_ok
 
 
+def test_check_entropy_constraint_takes_a_float_gamma_as_its_fraction():
+    """0.25 is exact in binary, so it is Fraction(1, 4) and gives the same verdict and report."""
+    for p, q in ((1009, 1013), (3, 5)):
+        assert entropy.check_entropy_constraint(p, q, 0.25, 0.9) == entropy.check_entropy_constraint(
+            p, q, Fraction(1, 4), 0.9
+        )
+
+
 def test_check_entropy_constraint_parameter_domain():
     with pytest.raises(ParameterError):
         entropy.check_entropy_constraint(11, 13, Fraction(1, 2), 0.0)

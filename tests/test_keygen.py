@@ -433,6 +433,11 @@ def test_a_modulus_wider_than_a_key_file_allows_is_not_finalized():
     assert keygen._finalize_exponents(65537, [p, 2**3217 - 1]) is not None
 
 
+def test_a_private_exponent_at_the_wiener_floor_is_not_finalized():
+    """e = 5^-1 mod phi(1009 * 1013) is a unit whose d = 5 fails d^10 > n^3."""
+    assert keygen._finalize_exponents(pow(5, -1, 1008 * 1012), [1009, 1013]) is None
+
+
 def test_an_ell_too_wide_is_refused_before_listing_primes(monkeypatch, wall_clock):
     """M is at least 2^ell, so an ell of at least the prime width is refused
     from ell alone; listing 10^8 primes would pass the 2^28 sieve span."""

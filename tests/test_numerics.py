@@ -218,10 +218,27 @@ def test_segment_sieve_shares_one_base_list():
     windows = [(lo, lo + span) for lo in range(0, 40) for span in range(0, 12)]
     windows += [(lo, lo + span) for lo in range(0, 19_000, 997) for span in (0, 1, 2, 63, 64, 1000)]
     for lo, hi in windows:
-        mask = numerics._odd_mask(lo, hi, base, numerics._zero_buffer(hi - lo))
+        mask = numerics._odd_mask(lo, hi, base, memoryview(b"\x01" + bytes((hi - lo) // 2 + 1)))
         got = [2] * (lo <= 2 <= hi) + list(itertools.compress(range(lo | 1, hi + 1, 2), mask))
         assert all(type(p) is int for p in got)
         assert got == [p for p in expected if lo <= p <= hi], (lo, hi)
+
+
+FIRST_THOUSAND = numerics.first_primes(1000)
+
+
+@pytest.mark.parametrize("segment", [1, 2, 7, 97, 4096])
+def test_sieve_range_reads_every_segment(segment, monkeypatch):
+    """With segments of a few numbers, windows cross many segment edges,
+    start and end on even and odd numbers, and hold 0, 1 and 2."""
+    expected = naive_sieve(20_000)
+    windows = [(lo, lo + span) for lo in range(0, 12) for span in range(0, 30)]
+    windows += [(lo, lo + span) for lo in range(max(segment - 3, 0), 19_000, 1999) for span in (0, 1, 2, 7, 97, 1000)]
+    windows += [(0, 20_000), (segment, 3 * segment + 1)]
+    monkeypatch.setattr(numerics, "_SEGMENT", segment)
+    for lo, hi in windows:
+        assert numerics.sieve_range(lo, hi) == [p for p in expected if lo <= p <= hi], (lo, hi)
+    assert numerics.first_primes(1000) == FIRST_THOUSAND == expected[:1000]
 
 
 def test_sieve_high_segment():
